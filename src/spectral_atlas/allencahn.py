@@ -36,6 +36,10 @@ class PoleProximityError(ArithmeticError):
     """Requested evaluation point sits on (or next to) a spectral pole."""
 
 
+class TurningPointError(ValueError):
+    """The turning points of the period quadrature are missing or not simple."""
+
+
 def a_of_k(k: float) -> float:
     return float(np.sqrt(1.0 - k**2 + k**4))
 
@@ -378,7 +382,7 @@ def turning_points(F, E_const: float, kappa: float, u_inner: float = 0.0):
         return 2.0 * E_const + 2.0 * kappa * u - 2.0 * F(u)
 
     if Q(u_inner) <= 0.0:
-        raise ValueError("no admissible interval: Q(u_inner) <= 0")
+        raise TurningPointError("no admissible interval: Q(u_inner) <= 0")
 
     def march(direction):
         step = 1e-3
@@ -390,7 +394,7 @@ def turning_points(F, E_const: float, kappa: float, u_inner: float = 0.0):
                 return scipy.optimize.brentq(Q, lo, hi, xtol=1e-15)
             u = nxt
             step *= 1.5
-        raise ValueError("no turning point found in the search range")
+        raise TurningPointError("no turning point found in the search range")
 
     mu_minus = march(-1.0)
     mu_plus = march(+1.0)
@@ -399,7 +403,7 @@ def turning_points(F, E_const: float, kappa: float, u_inner: float = 0.0):
     for mu in (mu_minus, mu_plus):
         dq = (Q(mu + d) - Q(mu - d)) / (2.0 * d)
         if abs(dq) < 1e-6 * max(1.0, abs(E_const), abs(kappa)):
-            raise ValueError("turning point is not simple (separatrix)")
+            raise TurningPointError("turning point is not simple (separatrix)")
     return mu_minus, mu_plus
 
 

@@ -4,23 +4,11 @@ Subcommands run the library's analyses on built-in presets or on problem
 specs read from JSON, and write CSV, JSON, or minimal SVG artifacts.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numeric failures.
-Set SPECTRAL_ATLAS_THREADS to cap the BLAS worker-thread count.
+BLAS worker threads follow OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, which
+must be set before Python starts.
 """
 
 from __future__ import annotations
-
-import os
-
-# honor the thread cap before any BLAS-backed import happens in this process
-_threads = os.environ.get("SPECTRAL_ATLAS_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import json
@@ -48,6 +36,7 @@ NUMERIC_ERRORS = (
     continuum.ResonantFrequencyError,
     allencahn.IndeterminateIndexError,
     allencahn.PoleProximityError,
+    allencahn.TurningPointError,
     np.linalg.LinAlgError,
     ZeroDivisionError,
     FloatingPointError,
@@ -97,23 +86,13 @@ def load_problem(args) -> lowrank.LowRankProblem:
     if path:
         try:
             with open(path) as fh:
-                spec = json.load(fh)
+                text = fh.read()
         except OSError as e:
             raise ConfigError(f"cannot read {path}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"{path}: malformed JSON at line {e.lineno}, column {e.colno}"
-            ) from None
         try:
-            return lowrank.LowRankProblem(
-                np.asarray(spec["M"], float),
-                f1=np.asarray(spec["f1"], float),
-                g1=np.asarray(spec["g1"], float),
-                f2=None if spec.get("f2") is None else np.asarray(spec["f2"], float),
-                g2=None if spec.get("g2") is None else np.asarray(spec["g2"], float),
-            )
-        except (KeyError, ValueError, TypeError) as e:
-            raise ConfigError(f"{path}: bad problem spec: {e}") from None
+            return lowrank.LowRankProblem.from_json(text)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"{path}: {e}") from None
     name = getattr(args, "preset", None)
     if name is None:
         raise ConfigError("need --preset or --input")
@@ -339,21 +318,19 @@ def cmd_phase(args) -> int:
     r2 = np.linspace(r2lo, r2hi, args.grid)
     g = phase.phase_grid(prob, r1, r2)
     if getattr(args, "format", "csv") == "json":
-        counts: dict[str, int] = {}
-        for i in range(args.grid):
-            for j in range(args.grid):
-                key = f"{int(g.n_real[i, j])}:{int(g.n_rhp[i, j])}"
-                counts[key] = counts.get(key, 0) + 1
-        named = {}
-        for name, (nr, nh) in phase.EXAMPLE1_REGIONS.items():
-            named[name] = counts.get(f"{nr}:{nh}", 0)
+        census = g.census_counts()
+        counts = {f"{nr}:{nh}": c for (nr, nh), c in census.items()}
+        named = {
+            name: census.get(pair, 0) for name, pair in phase.EXAMPLE1_REGIONS.items()
+        }
         emit_json({"counts": counts, "example1_regions": named}, args)
         return EXIT_OK
+    kinds = phase.DOMINANT_KINDS
     rows = []
     for i in range(args.grid):
         for j in range(args.grid):
             rows.append(
-                (r1[i], r2[j], int(g.n_real[i, j]), int(g.n_rhp[i, j]), g.dominant[i, j])
+                (r1[i], r2[j], int(g.n_real[i, j]), int(g.n_rhp[i, j]), kinds[g.dominant[i, j]])
             )
     emit(
         table_csv(

@@ -37,14 +37,10 @@ class ContinuumSpec:
     x2: float = 0.5
     alpha: float = 200.0
     lambda1_target: float = 5.0
-    phi1: object = None  # None = constant-1 density (the only supported one)
-    phi2: object = None
 
     def __post_init__(self):
         if not 0.0 < self.x1 < self.x2 < self.L:
             raise ValueError("need 0 < x1 < x2 < L")
-        if self.phi1 is not None or self.phi2 is not None:
-            raise NotImplementedError("only the constant-1 density is supported")
 
     @property
     def beta(self) -> float:

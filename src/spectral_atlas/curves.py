@@ -186,8 +186,7 @@ def _envelope_rows(dec: AKDecomposition, lam: float):
 
 def envelope_point(dec: AKDecomposition, lam: float):
     """Solve F = 0, dF/dlambda = 0 at a single lambda; 0, 1 or 2 points."""
-    a, b = _envelope_rows(dec, lam)
-    return solve_bilinear_rows(a, b)
+    return solve_bilinear_rows(*_envelope_rows(dec, lam))
 
 
 def envelope(dec: AKDecomposition, lam_grid) -> list[CurveBranch]:
@@ -197,27 +196,35 @@ def envelope(dec: AKDecomposition, lam_grid) -> list[CurveBranch]:
     intervals where the discriminant goes negative are recorded as gaps on
     both branches.
     """
-    lam_grid = np.asarray(lam_grid, float)
-    plus = CurveBranch(kind="envelope", branch="+", parameter_name="lambda")
-    minus = CurveBranch(kind="envelope", branch="-", parameter_name="lambda")
+    return _sweep(dec, lam_grid, _envelope_rows, "envelope", "lambda")
+
+
+def _sweep(dec, grid, rows, kind: str, parameter_name: str) -> list[CurveBranch]:
+    """'+' and '-' branches of the bilinear system rows(dec, t) over a grid.
+
+    '+' takes the larger rho1 at each grid value; intervals without a real
+    solution are recorded as gaps on both branches.
+    """
+    plus = CurveBranch(kind=kind, branch="+", parameter_name=parameter_name)
+    minus = CurveBranch(kind=kind, branch="-", parameter_name=parameter_name)
     prev_ok = None
-    for lam in lam_grid:
+    for t in np.asarray(grid, float):
         try:
-            sols = envelope_point(dec, lam)
+            sols = solve_bilinear_rows(*rows(dec, t))
         except DegenerateCurveError:
             sols = []
         if not sols:
             if prev_ok is not None:
                 for br in (plus, minus):
-                    br.gaps.append((prev_ok, float(lam)))
+                    br.gaps.append((prev_ok, float(t)))
             prev_ok = None
             continue
         if len(sols) == 1:
             sols = [sols[0], sols[0]]
         lo, hi = sorted(sols, key=lambda s: s[0])
-        plus.points.append(CurvePoint("envelope", "+", float(lam), hi[0], hi[1]))
-        minus.points.append(CurvePoint("envelope", "-", float(lam), lo[0], lo[1]))
-        prev_ok = float(lam)
+        plus.points.append(CurvePoint(kind, "+", float(t), hi[0], hi[1]))
+        minus.points.append(CurvePoint(kind, "-", float(t), lo[0], lo[1]))
+        prev_ok = float(t)
     return [plus, minus]
 
 
@@ -265,8 +272,6 @@ def genericity_check(dec: AKDecomposition, lam: float, rank_tol: float = 1e-9) -
         return "C1"
     if r3 < r4:
         return "inconsistent"
-    if r3 == 2 and not _is_special(dec, lam, rank_tol):
-        return "generic"
 
     w = lambda f, g: poly_wronskian(f, g)(lam)
     scale = max(dec.D.norm, dec.P1.norm, dec.P2.norm, dec.Q.norm, 1.0) ** 2
@@ -286,23 +291,6 @@ def genericity_check(dec: AKDecomposition, lam: float, rank_tol: float = 1e-9) -
     ):
         return "C3"
     return "generic"
-
-
-def _is_special(dec, lam, rank_tol):
-    w = lambda f, g: poly_wronskian(f, g)(lam)
-    scale = max(dec.D.norm, dec.P1.norm, dec.P2.norm, dec.Q.norm, 1.0) ** 2
-    tol = rank_tol * scale
-    c2 = (
-        abs(w(dec.P2, dec.Q)) <= tol
-        and abs(w(dec.D, dec.P1)) <= tol
-        and abs(w(dec.P1, dec.P2) - w(dec.D, dec.Q)) <= tol
-    )
-    c3 = (
-        abs(w(dec.P1, dec.Q)) <= tol
-        and abs(w(dec.D, dec.P2)) <= tol
-        and abs(w(dec.P1, dec.P2) - w(dec.D, dec.Q)) <= tol
-    )
-    return c2 or c3
 
 
 def singular_piece(dec: AKDecomposition, lam: float, tol: float = 1e-9):
@@ -329,38 +317,21 @@ def singular_piece(dec: AKDecomposition, lam: float, tol: float = 1e-9):
 # Hopf curve
 
 
-def hopf_point(dec: AKDecomposition, omega: float):
-    """Solve F(i omega) = 0 (real and imaginary parts) for (rho1, rho2)."""
+def _hopf_rows(dec: AKDecomposition, omega: float):
     z = 1j * omega
     a = np.array([dec.D(z).real, dec.P1(z).real, dec.P2(z).real, dec.Q(z).real])
     b = np.array([dec.D(z).imag, dec.P1(z).imag, dec.P2(z).imag, dec.Q(z).imag])
-    return solve_bilinear_rows(a, b)
+    return a, b
+
+
+def hopf_point(dec: AKDecomposition, omega: float):
+    """Solve F(i omega) = 0 (real and imaginary parts) for (rho1, rho2)."""
+    return solve_bilinear_rows(*_hopf_rows(dec, omega))
 
 
 def hopf_curve(dec: AKDecomposition, omega_grid) -> list[CurveBranch]:
     """Imaginary-pair locus +-i omega swept over a positive-omega grid."""
-    omega_grid = np.asarray(omega_grid, float)
-    plus = CurveBranch(kind="hopf", branch="+", parameter_name="omega")
-    minus = CurveBranch(kind="hopf", branch="-", parameter_name="omega")
-    prev_ok = None
-    for om in omega_grid:
-        try:
-            sols = hopf_point(dec, om)
-        except DegenerateCurveError:
-            sols = []
-        if not sols:
-            if prev_ok is not None:
-                for br in (plus, minus):
-                    br.gaps.append((prev_ok, float(om)))
-            prev_ok = None
-            continue
-        if len(sols) == 1:
-            sols = [sols[0], sols[0]]
-        lo, hi = sorted(sols, key=lambda s: s[0])
-        plus.points.append(CurvePoint("hopf", "+", float(om), hi[0], hi[1]))
-        minus.points.append(CurvePoint("hopf", "-", float(om), lo[0], lo[1]))
-        prev_ok = float(om)
-    return [plus, minus]
+    return _sweep(dec, omega_grid, _hopf_rows, "hopf", "omega")
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,9 @@ def preset_spec(name: str) -> NetworkSpec:
 def build_network(spec: NetworkSpec | None = None, preset: str = "custom") -> LowRankProblem:
     """Assemble the (N+2)-dimensional perturbation problem.
 
-    The preset 'example1' returns the four-dimensional benchmark instead of
-    a network; 'ag_normal'/'ag_in' use their built-in specs; 'custom'
-    requires an explicit NetworkSpec.
+    'ag_normal'/'ag_in' use their built-in specs; 'custom' requires an
+    explicit NetworkSpec.
     """
-    if preset == "example1":
-        return _presets.example1()
     if preset != "custom":
         spec = preset_spec(preset)
     if spec is None:

@@ -71,7 +71,7 @@ class LowRankProblem:
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> str:
-        d = {"matrix": self.M.tolist(), "f1": self.f1.tolist(), "g1": self.g1.tolist()}
+        d = {"M": self.M.tolist(), "f1": self.f1.tolist(), "g1": self.g1.tolist()}
         if self.f2 is not None:
             d["f2"] = self.f2.tolist()
             d["g2"] = self.g2.tolist()
@@ -79,16 +79,19 @@ class LowRankProblem:
 
     @staticmethod
     def from_json(text: str) -> "LowRankProblem":
+        """Problem from a JSON object with keys M, f1, g1 and optionally f2, g2."""
         try:
             d = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ValueError(f"problem spec is not valid JSON: {e}") from e
-        for key in ("matrix", "f1", "g1"):
+            raise ValueError(
+                f"malformed JSON at line {e.lineno}, column {e.colno}"
+            ) from e
+        if not isinstance(d, dict):
+            raise ValueError("problem spec must be a JSON object")
+        for key in ("M", "f1", "g1"):
             if key not in d:
                 raise ValueError(f"problem spec missing required key '{key}'")
-        return LowRankProblem(
-            d["matrix"], d["f1"], d["g1"], d.get("f2"), d.get("g2")
-        )
+        return LowRankProblem(d["M"], d["f1"], d["g1"], d.get("f2"), d.get("g2"))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,11 @@ region decomposition cut out by the envelope, Hopf, and zero curves.
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import eig_dense
-from .lowrank import AKDecomposition, LowRankProblem, perturbed_matrix
+from .lowrank import AKDecomposition, LowRankProblem
 
 # Census tuples (n_real, n_rhp) of the named regions of the four-dimensional
 # benchmark's stability diagram.  The letters track all four eigenvalues:
@@ -62,30 +59,37 @@ class RegionLabel:
         return (self.n_real, self.n_rhp)
 
 
-def classify_point(
-    problem: LowRankProblem, rho1: float, rho2: float, tol_factor: float = 1e-7
-) -> RegionLabel:
-    """Spectral label of one parameter point.
+# Matrix entries stacked into one eigensolve call by phase_grid: about half
+# a megabyte of float64, whatever the grid size or matrix dimension.
+_CHUNK_ENTRIES = 1 << 16
+
+_MARGINAL = DOMINANT_KINDS.index("marginal")
+
+
+def _classify(ev: np.ndarray, tol_factor: float):
+    """(n_real, n_rhp, dominant code) of each row of a (cells, n) eigenvalue array.
 
     Reality and half-plane membership are decided relative to the spectral
     radius; the count of non-real eigenvalues is forced even so conjugate
-    pairs straddling the tolerance cannot produce an odd defect.
+    pairs straddling the tolerance cannot produce an odd defect.  Dominant
+    codes index DOMINANT_KINDS: 2 * complex + unstable, or marginal.
     """
-    ev = eig_dense(perturbed_matrix(problem, rho1, rho2)).values
-    tol = tol_factor * max(1.0, float(np.max(np.abs(ev))))
-    n = len(ev)
-    n_real = int(np.sum(np.abs(ev.imag) <= tol))
-    if (n - n_real) % 2 == 1:
-        n_real += 1  # odd complex count is a tolerance artifact
-    n_rhp = int(np.sum(ev.real > tol))
-    top = ev[np.argmax(ev.real)]
-    if abs(top.real) <= tol:
-        dominant = "marginal"
-    else:
-        kind = "real" if abs(top.imag) <= tol else "complex"
-        side = "unstable" if top.real > 0 else "stable"
-        dominant = f"{kind}_{side}"
-    return RegionLabel(n_real, n_rhp, dominant)
+    n = ev.shape[1]
+    tol = tol_factor * np.maximum(1.0, np.max(np.abs(ev), axis=1))
+    n_real = np.sum(np.abs(ev.imag) <= tol[:, None], axis=1)
+    n_real += (n - n_real) % 2  # odd complex count is a tolerance artifact
+    n_rhp = np.sum(ev.real > tol[:, None], axis=1)
+    top = ev[np.arange(len(ev)), np.argmax(ev.real, axis=1)]
+    code = 2 * (np.abs(top.imag) > tol) + (top.real > 0.0)
+    dominant = np.where(np.abs(top.real) <= tol, _MARGINAL, code)
+    return n_real, n_rhp, dominant
+
+
+def classify_point(
+    problem: LowRankProblem, rho1: float, rho2: float, tol_factor: float = 1e-7
+) -> RegionLabel:
+    """Spectral label of one parameter point: the 1x1 case of phase_grid."""
+    return phase_grid(problem, [rho1], [rho2], tol_factor).label(0, 0)
 
 
 @dataclass
@@ -94,18 +98,26 @@ class PhaseGrid:
     rho2_values: np.ndarray
     n_real: np.ndarray  # shape (len(rho1), len(rho2))
     n_rhp: np.ndarray
-    dominant: np.ndarray  # same shape, dtype object (strings)
+    dominant: np.ndarray  # same shape, integer codes into DOMINANT_KINDS
 
     def label(self, i: int, j: int) -> RegionLabel:
         return RegionLabel(
-            int(self.n_real[i, j]), int(self.n_rhp[i, j]), str(self.dominant[i, j])
+            int(self.n_real[i, j]),
+            int(self.n_rhp[i, j]),
+            DOMINANT_KINDS[self.dominant[i, j]],
         )
 
+    def census_counts(self) -> dict[tuple[int, int], int]:
+        """Number of grid cells of each (n_real, n_rhp) class."""
+        pairs, counts = np.unique(
+            np.column_stack([self.n_real.ravel(), self.n_rhp.ravel()]),
+            axis=0,
+            return_counts=True,
+        )
+        return {(int(a), int(b)): int(c) for (a, b), c in zip(pairs, counts)}
+
     def census_classes(self) -> set[tuple[int, int]]:
-        return {
-            (int(a), int(b))
-            for a, b in zip(self.n_real.ravel(), self.n_rhp.ravel())
-        }
+        return set(self.census_counts())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -114,19 +126,9 @@ class PhaseGrid:
             for j, r2 in enumerate(self.rho2_values):
                 buf.write(
                     f"{r1!r},{r2!r},{self.n_real[i, j]},{self.n_rhp[i, j]},"
-                    f"{self.dominant[i, j]}\n"
+                    f"{DOMINANT_KINDS[self.dominant[i, j]]}\n"
                 )
         return buf.getvalue()
-
-
-def _thread_count() -> int:
-    env = os.environ.get("SPECTRAL_ATLAS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 def phase_grid(
@@ -137,25 +139,35 @@ def phase_grid(
 ) -> PhaseGrid:
     """Classify every point of a rectangular parameter grid.
 
-    Rows are processed in a thread pool; SPECTRAL_ATLAS_THREADS caps the
-    worker count (LAPACK releases the interpreter lock during eigensolves).
+    The perturbed matrices M + rho1 f1 g1^T + rho2 f2 g2^T are built by
+    broadcasting, in chunks of about _CHUNK_ENTRIES entries, and each chunk
+    is classified by one stacked LAPACK eigensolve.  Non-finite entries
+    raise numpy's LinAlgError, a ValueError subclass.
     """
+    p = problem
     r1s = np.asarray(rho1_values, float)
     r2s = np.asarray(rho2_values, float)
-    n_real = np.zeros((r1s.size, r2s.size), dtype=int)
-    n_rhp = np.zeros_like(n_real)
-    dominant = np.empty(n_real.shape, dtype=object)
-
-    def do_row(i):
-        for j, r2 in enumerate(r2s):
-            lab = classify_point(problem, r1s[i], r2, tol_factor)
-            n_real[i, j] = lab.n_real
-            n_rhp[i, j] = lab.n_rhp
-            dominant[i, j] = lab.dominant
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        list(pool.map(do_row, range(r1s.size)))
-    return PhaseGrid(r1s, r2s, n_real, n_rhp, dominant)
+    cells = r1s.size * r2s.size
+    n_real = np.empty(cells, dtype=int)
+    n_rhp = np.empty(cells, dtype=int)
+    dominant = np.empty(cells, dtype=np.int8)
+    outer1 = np.outer(p.f1, p.g1)
+    outer2 = None if p.f2 is None else np.outer(p.f2, p.g2)
+    step = max(1, _CHUNK_ENTRIES // (p.n * p.n))
+    for start in range(0, cells, step):
+        stop = min(start + step, cells)
+        i, j = np.divmod(np.arange(start, stop), r2s.size)
+        A = p.M + r1s[i, None, None] * outer1
+        if outer2 is not None:
+            A = A + r2s[j, None, None] * outer2
+        ev = np.linalg.eigvals(A)
+        n_real[start:stop], n_rhp[start:stop], dominant[start:stop] = _classify(
+            ev, tol_factor
+        )
+    shape = (r1s.size, r2s.size)
+    return PhaseGrid(
+        r1s, r2s, n_real.reshape(shape), n_rhp.reshape(shape), dominant.reshape(shape)
+    )
 
 
 def local_splitting(

@@ -39,5 +39,3 @@ EXAMPLE1_Q = np.array([-1.0])
 AG_ALPHA = 200.0
 AG_LAMBDA1 = 5.0
 AG_N = 6
-
-PRESETS = {"example1": example1}

@@ -72,6 +72,14 @@ class TestDecompose:
         assert code == 2
         assert "line" in err
 
+    def test_library_json_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "example1.json"
+        path.write_text(example1().to_json())
+        code, via_file, _ = run(["decompose", "--input", str(path)], capsys)
+        assert code == 0
+        _, via_preset, _ = run(["decompose", "--preset", "example1"], capsys)
+        assert via_file == via_preset
+
     def test_missing_source_is_config_error(self, capsys):
         code, _, _ = run(["decompose"], capsys)
         assert code == 2
@@ -306,3 +314,8 @@ class TestExitCodes:
         code, _, err = run(["triples", "--input", str(path)], capsys)
         assert code == 3
         assert "numeric" in err
+
+    def test_rs_family_without_turning_point_is_3(self, capsys):
+        code, _, err = run(["rs", "family", "--k", "0.75", "--steps", "2"], capsys)
+        assert code == 3
+        assert "turning point" in err

@@ -78,8 +78,6 @@ class TestSpecs:
     def test_validation(self):
         with pytest.raises(ValueError):
             ContinuumSpec(x1=0.5, x2=1.0 / 3.0)
-        with pytest.raises(NotImplementedError):
-            ContinuumSpec(phi1=lambda x: x)
         with pytest.raises(ValueError):
             BranchParam(1.0, "quartic")
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ class TestProblem:
         with pytest.raises(ValueError):
             LowRankProblem.from_json("not json")
         with pytest.raises(ValueError):
-            LowRankProblem.from_json(json.dumps({"matrix": [[1]]}))
+            LowRankProblem.from_json(json.dumps({"M": [[1.0]]}))
 
 
 class TestParallel:

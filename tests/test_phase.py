@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from spectral_atlas import phase
 from spectral_atlas.curves import envelope_point, hopf_point
-from spectral_atlas.lowrank import LowRankProblem, decompose_cofactor
+from spectral_atlas.kernel import eig_dense
+from spectral_atlas.lowrank import LowRankProblem, decompose_cofactor, perturbed_matrix
 from spectral_atlas.phase import (
     EXAMPLE1_REGIONS,
     PhaseGrid,
@@ -12,6 +14,47 @@ from spectral_atlas.phase import (
     phase_grid,
 )
 from spectral_atlas.presets import example1
+
+
+def random_problem(n, rank, seed):
+    """Well-scaled problem: a stable base matrix near -2 I."""
+    rng = np.random.default_rng(seed)
+    M = -2.0 * np.eye(n) + 0.8 * rng.standard_normal((n, n)) / np.sqrt(n)
+    f1, g1, f2, g2 = 1.5 * rng.standard_normal((4, n)) / np.sqrt(n)
+    if rank == 1:
+        return LowRankProblem(M, f1, g1)
+    return LowRankProblem(M, f1, g1, f2, g2)
+
+
+def reference_labels(problem, r1s, r2s, tol_factor=1e-7):
+    """Labels of every cell, one eig_dense call each, the rule written out."""
+    out = []
+    for r1 in r1s:
+        row = []
+        for r2 in r2s:
+            ev = eig_dense(perturbed_matrix(problem, r1, r2)).values
+            tol = tol_factor * max(1.0, float(np.max(np.abs(ev))))
+            n_real = int(np.sum(np.abs(ev.imag) <= tol))
+            if (len(ev) - n_real) % 2 == 1:
+                n_real += 1
+            n_rhp = int(np.sum(ev.real > tol))
+            top = ev[np.argmax(ev.real)]
+            if abs(top.real) <= tol:
+                dominant = "marginal"
+            else:
+                kind = "real" if abs(top.imag) <= tol else "complex"
+                side = "unstable" if top.real > 0 else "stable"
+                dominant = f"{kind}_{side}"
+            row.append(RegionLabel(n_real, n_rhp, dominant))
+        out.append(row)
+    return out
+
+
+def grid_labels(g):
+    return [
+        [g.label(i, j) for j in range(g.rho2_values.size)]
+        for i in range(g.rho1_values.size)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +126,34 @@ class TestPhaseGrid:
         assert np.array_equal(g.n_real, g.n_real.T)
         assert np.array_equal(g.n_rhp, g.n_rhp.T)
 
-    def test_thread_env_respected(self, prob, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_ATLAS_THREADS", "1")
-        g = phase_grid(prob, np.linspace(-2, 0, 4), np.linspace(-2, 0, 4))
-        assert g.n_real.shape == (4, 4)
+    @pytest.mark.parametrize(
+        "problem",
+        [example1()]
+        + [random_problem(n, rank=1, seed=n) for n in (4, 6, 8)]
+        + [random_problem(n, rank=2, seed=10 + n) for n in range(4, 9)],
+    )
+    def test_matches_per_cell_reference(self, problem):
+        r1s = np.linspace(-12.0, 2.0, 17)
+        r2s = np.linspace(-11.5, 2.5, 19)
+        g = phase_grid(problem, r1s, r2s)
+        assert grid_labels(g) == reference_labels(problem, r1s, r2s)
+
+    def test_chunk_boundary(self):
+        problem = random_problem(8, rank=2, seed=3)
+        r1s = np.linspace(-12.0, 2.0, 40)
+        r2s = np.linspace(-12.0, 2.0, 33)
+        assert r1s.size * r2s.size * problem.n**2 > phase._CHUNK_ENTRIES
+        g = phase_grid(problem, r1s, r2s)
+        assert grid_labels(g) == reference_labels(problem, r1s, r2s)
+
+    def test_non_finite_raises(self, prob):
+        M = prob.M.copy()
+        M[0, 0] = np.nan
+        bad = LowRankProblem(M, prob.f1, prob.g1, prob.f2, prob.g2)
+        with pytest.raises(ValueError):
+            phase_grid(bad, [0.0, 1.0], [0.0])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            phase_grid(prob, [0.0, np.inf], [0.0])
 
     def test_csv(self, prob):
         g = phase_grid(prob, [-1.0, 0.0], [0.0, 1.0])
