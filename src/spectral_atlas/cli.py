@@ -325,21 +325,7 @@ def cmd_phase(args) -> int:
         }
         emit_json({"counts": counts, "example1_regions": named}, args)
         return EXIT_OK
-    kinds = phase.DOMINANT_KINDS
-    rows = []
-    for i in range(args.grid):
-        for j in range(args.grid):
-            rows.append(
-                (r1[i], r2[j], int(g.n_real[i, j]), int(g.n_rhp[i, j]), kinds[g.dominant[i, j]])
-            )
-    emit(
-        table_csv(
-            "rho1,rho2,n_real,n_rhp,dominant",
-            "dimensionless phase census parametrized by (rho1, rho2)",
-            rows,
-        ),
-        args,
-    )
+    emit("# dimensionless phase census parametrized by (rho1, rho2)\n" + g.to_csv(), args)
     return EXIT_OK
 
 

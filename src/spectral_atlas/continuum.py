@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveBranch, CurvePoint
+from .curves import CurveBranch, grid_branch
 from .integrator import beta_for
 
 
@@ -73,34 +73,37 @@ def branch_lambda(bp: BranchParam, spec: ContinuumSpec) -> float:
 # closed-form cell response
 
 
-def _denom(spec: ContinuumSpec, bp: BranchParam) -> float:
+# The helpers below take the branch name and omega, a scalar or an array.
+
+
+def _denom(spec: ContinuumSpec, branch: str, om):
     """Shared denominator of the cell response: beta^2 dx^3 w^2 (3 -+ dx^2 w^2) sin(h) w."""
-    beta, dx, om = spec.beta, spec.dx, bp.omega
-    if bp.branch == "trig":
+    beta, dx = spec.beta, spec.dx
+    if branch == "trig":
         return beta**2 * dx**3 * om**2 * (3.0 - dx**2 * om**2) * np.sin(om * spec.L)
     return beta**2 * dx**3 * om**2 * (3.0 + dx**2 * om**2) * np.sinh(om * spec.L)
 
 
-def _numer(spec: ContinuumSpec, bp: BranchParam, x: float) -> float:
-    om, L = bp.omega, spec.L
-    if bp.branch == "trig":
+def _numer(spec: ContinuumSpec, branch: str, om, x: float):
+    L = spec.L
+    if branch == "trig":
         return np.sin(om * L) - np.sin(om * x) - np.sin(om * (L - x))
     return np.sinh(om * x) + np.sinh(om * (L - x)) - np.sinh(om * L)
 
 
-def _numer_domega(spec: ContinuumSpec, bp: BranchParam, x: float) -> float:
-    om, L = bp.omega, spec.L
-    if bp.branch == "trig":
+def _numer_domega(spec: ContinuumSpec, branch: str, om, x: float):
+    L = spec.L
+    if branch == "trig":
         return (
             L * np.cos(om * L) - x * np.cos(om * x) - (L - x) * np.cos(om * (L - x))
         )
     return x * np.cosh(om * x) + (L - x) * np.cosh(om * (L - x)) - L * np.cosh(om * L)
 
 
-def _denom_domega(spec: ContinuumSpec, bp: BranchParam) -> float:
-    beta, dx, om, L = spec.beta, spec.dx, bp.omega, spec.L
+def _denom_domega(spec: ContinuumSpec, branch: str, om):
+    beta, dx, L = spec.beta, spec.dx, spec.L
     C = beta**2 * dx**3
-    if bp.branch == "trig":
+    if branch == "trig":
         return C * (
             (6.0 * om - 4.0 * dx**2 * om**3) * np.sin(om * L)
             + (3.0 * om**2 - dx**2 * om**4) * L * np.cos(om * L)
@@ -113,10 +116,10 @@ def _denom_domega(spec: ContinuumSpec, bp: BranchParam) -> float:
 
 def cell_response(spec: ContinuumSpec, bp: BranchParam, x: float) -> float:
     """P(omega, x): the scalar feedback response of a cell coupled at x."""
-    den = _denom(spec, bp)
+    den = _denom(spec, bp.branch, bp.omega)
     if abs(den) < 1e-300:
         raise ResonantFrequencyError(f"omega={bp.omega} is resonant")
-    return _numer(spec, bp, x) / den
+    return _numer(spec, bp.branch, bp.omega, x) / den
 
 
 def eigencondition_closed(
@@ -237,25 +240,32 @@ def eigencondition(
 # envelope in the omega parametrization
 
 
-def envelope_rho(spec: ContinuumSpec, bp: BranchParam):
-    """(rho1, rho2) where lambda(omega) is a double eigenvalue.
+def _envelope(spec: ContinuumSpec, branch: str, om):
+    """Envelope (rho1, rho2) at each omega, with N1 ^ N2 and the size of its two terms.
 
     With the bilinear term absent the system 1 + rho.P = 0, rho.P' = 0 is
     linear; writing P_i = N_i/S,
         rho1 = -(N2' S - N2 S') / LambdaN,   rho2 = (N1' S - N1 S') / LambdaN
-    with LambdaN = N1 N2' - N1' N2 (the asymptote locus is LambdaN = 0).
+    with LambdaN = N1 ^ N2 = N1 N2' - N1' N2 (the asymptote locus is
+    LambdaN = 0, where rho is inf or nan).
     """
-    n1 = _numer(spec, bp, spec.x1)
-    n2 = _numer(spec, bp, spec.x2)
-    d1 = _numer_domega(spec, bp, spec.x1)
-    d2 = _numer_domega(spec, bp, spec.x2)
-    S = _denom(spec, bp)
-    Sp = _denom_domega(spec, bp)
+    if np.size(om):
+        BranchParam(float(np.min(om)), branch)  # validates branch and omega > 0
+    n1, n2 = _numer(spec, branch, om, spec.x1), _numer(spec, branch, om, spec.x2)
+    d1, d2 = _numer_domega(spec, branch, om, spec.x1), _numer_domega(spec, branch, om, spec.x2)
+    S, Sp = _denom(spec, branch, om), _denom_domega(spec, branch, om)
     lamN = n1 * d2 - d1 * n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = -(d2 * S - n2 * Sp) / lamN
+        r2 = (d1 * S - n1 * Sp) / lamN
+    return r1, r2, lamN, np.maximum(np.abs(n1 * d2), np.abs(d1 * n2))
+
+
+def envelope_rho(spec: ContinuumSpec, bp: BranchParam):
+    """(rho1, rho2) where lambda(omega) is a double eigenvalue (see _envelope)."""
+    r1, r2, lamN, _ = _envelope(spec, bp.branch, bp.omega)
     if lamN == 0.0:
         raise ZeroDivisionError("envelope asymptote: N1 ^ N2 vanishes")
-    r1 = -(d2 * S - n2 * Sp) / lamN
-    r2 = (d1 * S - n1 * Sp) / lamN
     return float(r1), float(r2)
 
 
@@ -264,65 +274,40 @@ def envelope_asymptotes(
     samples: int = 4000, tol: float = 1e-12,
 ) -> list[float]:
     """omegas where the envelope diverges: bracketed zeros of N1 N2' - N1' N2."""
-
-    def lamN(om):
-        bp = BranchParam(om, branch)
-        return (
-            _numer(spec, bp, spec.x1) * _numer_domega(spec, bp, spec.x2)
-            - _numer_domega(spec, bp, spec.x1) * _numer(spec, bp, spec.x2)
-        )
-
     lo, hi = omega_window
     oms = np.linspace(lo, hi, samples)
-    vals = np.array([lamN(o) for o in oms])
+    vals = _envelope(spec, branch, oms)[2]
     out = []
-    for i in range(samples - 1):
-        if np.sign(vals[i]) != np.sign(vals[i + 1]) and vals[i] != 0.0:
-            a, b = oms[i], oms[i + 1]
-            fa = vals[i]
-            while b - a > tol * max(1.0, abs(a)):
-                m = 0.5 * (a + b)
-                fm = lamN(m)
-                if np.sign(fm) == np.sign(fa):
-                    a, fa = m, fm
-                else:
-                    b = m
-            out.append(0.5 * (a + b))
+    for i in np.flatnonzero((np.sign(vals[:-1]) != np.sign(vals[1:])) & (vals[:-1] != 0.0)):
+        a, b = oms[i], oms[i + 1]
+        fa = vals[i]
+        while b - a > tol * max(1.0, abs(a)):
+            m = 0.5 * (a + b)
+            fm = _envelope(spec, branch, m)[2]
+            if np.sign(fm) == np.sign(fa):
+                a, fa = m, fm
+            else:
+                b = m
+        out.append(0.5 * (a + b))
     return out
 
 
 def continuum_envelope(
     spec: ContinuumSpec, omega_samples, branch: str = "trig"
 ) -> CurveBranch:
-    """Envelope curve swept over omega; asymptote intervals become gaps."""
-    br = CurveBranch(kind=f"continuum-envelope-{branch}", branch=branch,
-                     parameter_name="omega")
-    prev_ok = None
-    prev_lamN_sign = None
-    for om in np.asarray(omega_samples, float):
-        bp = BranchParam(float(om), branch)
-        n1 = _numer(spec, bp, spec.x1)
-        n2 = _numer(spec, bp, spec.x2)
-        d1 = _numer_domega(spec, bp, spec.x1)
-        d2 = _numer_domega(spec, bp, spec.x2)
-        lamN = n1 * d2 - d1 * n2
-        scale = max(abs(n1 * d2), abs(d1 * n2), 1e-300)
-        sign = np.sign(lamN)
-        crossed = prev_lamN_sign is not None and sign != prev_lamN_sign
-        if abs(lamN) <= 1e-9 * scale or crossed:
-            if prev_ok is not None:
-                br.gaps.append((prev_ok, float(om)))
-            prev_ok = None
-            prev_lamN_sign = sign
-            if abs(lamN) <= 1e-9 * scale:
-                continue
-        prev_lamN_sign = sign
-        r1, r2 = envelope_rho(spec, bp)
-        br.points.append(
-            CurvePoint(br.kind, branch, float(om), r1, r2)
-        )
-        prev_ok = float(om)
-    return br
+    """Envelope curve swept over omega; asymptote intervals become gaps.
+
+    Samples where N1 ^ N2 vanishes to within 1e-9 of its terms are dropped;
+    a sign change of N1 ^ N2 between samples is a break.
+    """
+    om = np.asarray(omega_samples, float)
+    r1, r2, lamN, scale = _envelope(spec, branch, om)
+    kept = ~(np.abs(lamN) <= 1e-9 * np.maximum(scale, 1e-300))
+    sign = np.sign(lamN)
+    breaks = np.concatenate([[False], sign[1:] != sign[:-1]])
+    return grid_branch(
+        f"continuum-envelope-{branch}", branch, "omega", om, r1, r2, kept, breaks
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +325,10 @@ def lemma_f_domega(spec: ContinuumSpec, omega: float, x: float) -> float:
     The hyperbolic envelope satisfies rho1/rho2 = -f'(x2)/f'(x1), so a
     one-signed derivative pins the ratio negative for every coupling pair.
     """
-    bp = BranchParam(omega, "hyper")
-    S = _denom(spec, bp)
+    S = _denom(spec, "hyper", omega)
     return (
-        _numer_domega(spec, bp, x) * S - _numer(spec, bp, x) * _denom_domega(spec, bp)
+        _numer_domega(spec, "hyper", omega, x) * S
+        - _numer(spec, "hyper", omega, x) * _denom_domega(spec, "hyper", omega)
     ) / S**2
 
 

@@ -62,74 +62,112 @@ def branches_to_csv(branches: list[CurveBranch]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# one sweep: grid arrays -> branch
+
+
+def gap_intervals(t, kept, breaks=None) -> list[tuple[float, float]]:
+    """Gaps (t[i-1], t[i]) wherever point i-1 is kept and point i is dropped
+    or marks a break (a kept point that must not be joined to the last one)."""
+    kept = np.asarray(kept, bool)
+    cut = ~kept[1:] if breaks is None else ~kept[1:] | np.asarray(breaks, bool)[1:]
+    t = np.asarray(t, float).tolist()
+    return [(t[i], t[i + 1]) for i in np.flatnonzero(kept[:-1] & cut).tolist()]
+
+
+def grid_branch(
+    kind: str, branch: str, parameter_name: str, t, rho1, rho2, kept, breaks=None
+) -> CurveBranch:
+    """Branch of the kept grid points, with the gaps of gap_intervals."""
+    t = np.asarray(t, float)
+    points = [
+        CurvePoint(kind, branch, *v)
+        for v in zip(t[kept].tolist(), rho1[kept].tolist(), rho2[kept].tolist())
+    ]
+    return CurveBranch(kind, branch, parameter_name, points, gap_intervals(t, kept, breaks))
+
+
+# ---------------------------------------------------------------------------
 # bilinear row systems
+
+
+def _real_quadratic_roots(A, B, C, tol):
+    """Real roots of A x^2 + B x + C = 0, lane by lane.
+
+    Returns (roots, count, degenerate): roots[..., :count] are the real
+    roots in ascending order (count 0 for a negative discriminant, 1 where A
+    vanishes to within tol), and degenerate marks the lanes where A and B
+    both vanish.  Every lane is computed; results that do not apply are
+    masked.
+    """
+    linear = np.abs(A) <= tol
+    degenerate = linear & (np.abs(B) <= tol)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = B * B - 4.0 * A * C
+        s = np.sqrt(disc)
+        # stable quadratic formula
+        q = np.where(B != 0.0, -0.5 * (B + np.sign(B) * s), 0.5 * s)
+        r = np.where((q == 0.0)[..., None], 0.0, np.stack([q / A, C / q], axis=-1))
+        r = np.where(linear[..., None], (-C / B)[..., None], r)
+    r = np.where((r[..., 1] < r[..., 0])[..., None], r[..., ::-1], r)
+    count = np.where(degenerate, 0, np.where(linear, 1, np.where(disc < 0.0, 0, 2)))
+    return r, count, degenerate
+
+
+def _solve_rows(a, b, tol: float = 1e-12):
+    """Real solutions of the bilinear row pairs a[i], b[i], for (k, 4) arrays.
+
+    Row (c0, c1, c2, c3) encodes c0 + c1 rho1 + c2 rho2 + c3 rho1 rho2 = 0.
+    Returns (sol, count, degenerate): sol[i, :count[i]] are the (rho1, rho2)
+    solutions of row i in ascending rho1 (a single one is stored twice),
+    and degenerate marks the rows too degenerate to solve (count 0).
+    """
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    a0, a1, a2, a3 = a.T
+    b0, b1, b2, b3 = b.T
+    scale = np.maximum(np.maximum(np.max(np.abs(a), axis=1), np.max(np.abs(b), axis=1)), 1.0)
+    tol2 = tol * scale**2
+
+    # combination e0 + e1 rho1 + e2 rho2 = 0 with no bilinear term: it gives
+    # one unknown u in terms of the other, w, which solves a quadratic
+    e0, e1, e2 = a0 * b3 - b0 * a3, a1 * b3 - b1 * a3, a2 * b3 - b2 * a3
+    c0, c1, c2, c3 = np.where(np.abs(a3) >= np.abs(b3), a.T, b.T)
+    w_is_rho1 = np.abs(e2) >= np.abs(e1)
+    eu, ew = np.where(w_is_rho1, e2, e1), np.where(w_is_rho1, e1, e2)
+    cu, cw = np.where(w_is_rho1, c2, c1), np.where(w_is_rho1, c1, c2)
+    w, count, degenerate = _real_quadratic_roots(
+        -c3 * ew, cw * eu - cu * ew - c3 * e0, c0 * eu - cu * e0, tol2
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = -(e0[:, None] + ew[:, None] * w) / eu[:, None]
+    sol = np.where(w_is_rho1[:, None, None], np.stack([w, u], -1), np.stack([u, w], -1))
+    degenerate |= (np.abs(e1) <= tol2) & (np.abs(e2) <= tol2)
+
+    # rows without the bilinear term are a 2x2 linear system
+    rows = np.flatnonzero((np.abs(a3) <= tol * scale) & (np.abs(b3) <= tol * scale))
+    A = np.stack([a[rows, 1:3], b[rows, 1:3]], axis=1)
+    ok = np.abs(np.linalg.det(A)) > tol2[rows]
+    x = np.linalg.solve(A[ok], -np.stack([a0, b0], 1)[rows[ok], :, None])
+    sol[rows[ok]] = x.swapaxes(1, 2)
+    count[rows], degenerate[rows] = 1, ~ok
+    count[degenerate] = 0
+
+    swap = sol[:, 1, 0] < sol[:, 0, 0]
+    return np.where(swap[:, None, None], sol[:, ::-1], sol), count, degenerate
 
 
 def solve_bilinear_rows(a, b, tol: float = 1e-12):
     """Real solutions of two bilinear equations in (rho1, rho2).
 
     Each row (c0, c1, c2, c3) encodes c0 + c1 rho1 + c2 rho2 + c3 rho1 rho2 = 0.
-    Returns a list of (rho1, rho2) pairs: two, one, or zero (the last when
-    the eliminated quadratic has negative discriminant, i.e. a gap).
+    Returns a list of (rho1, rho2) pairs in ascending rho1: two, one, or
+    zero (the last when the eliminated quadratic has negative discriminant,
+    i.e. a gap).  This is the one-row case of the sweeps' batched solver.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
-    if abs(a[3]) <= tol * scale and abs(b[3]) <= tol * scale:
-        A = np.array([[a[1], a[2]], [b[1], b[2]]])
-        rhs = -np.array([a[0], b[0]])
-        if abs(np.linalg.det(A)) <= tol * scale**2:
-            raise DegenerateCurveError("linear bilinear system is rank deficient")
-        r1, r2 = np.linalg.solve(A, rhs)
-        return [(float(r1), float(r2))]
-
-    # combination e0 + e1 rho1 + e2 rho2 = 0 with no bilinear term
-    e = np.array(
-        [
-            a[0] * b[3] - b[0] * a[3],
-            a[1] * b[3] - b[1] * a[3],
-            a[2] * b[3] - b[2] * a[3],
-        ]
-    )
-    c = a if abs(a[3]) >= abs(b[3]) else b
-    if max(abs(e[1]), abs(e[2])) <= tol * scale**2:
-        raise DegenerateCurveError("bilinear elimination degenerates to a constant")
-
-    sols = []
-    if abs(e[2]) >= abs(e[1]):
-        # rho2 = -(e0 + e1 rho1) / e2, quadratic in rho1
-        A2 = -c[3] * e[1]
-        B2 = c[1] * e[2] - c[2] * e[1] - c[3] * e[0]
-        C2 = c[0] * e[2] - c[2] * e[0]
-        for r1 in _real_quadratic_roots(A2, B2, C2, tol * scale**2):
-            r2 = -(e[0] + e[1] * r1) / e[2]
-            sols.append((float(r1), float(r2)))
-    else:
-        # rho1 = -(e0 + e2 rho2) / e1, quadratic in rho2
-        A2 = -c[3] * e[2]
-        B2 = c[2] * e[1] - c[1] * e[2] - c[3] * e[0]
-        C2 = c[0] * e[1] - c[1] * e[0]
-        for r2 in _real_quadratic_roots(A2, B2, C2, tol * scale**2):
-            r1 = -(e[0] + e[2] * r2) / e[1]
-            sols.append((float(r1), float(r2)))
-    return sols
-
-
-def _real_quadratic_roots(A, B, C, tol):
-    if abs(A) <= tol:
-        if abs(B) <= tol:
-            raise DegenerateCurveError("quadratic degenerates to a constant")
-        return [-C / B]
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        return []
-    s = np.sqrt(disc)
-    # stable quadratic formula
-    q = -0.5 * (B + np.sign(B) * s) if B != 0.0 else 0.5 * s
-    if q == 0.0:
-        return [0.0, 0.0]
-    r1, r2 = q / A, C / q
-    return sorted([r1, r2])
+    sol, count, degenerate = _solve_rows(np.atleast_2d(a), np.atleast_2d(b), tol)
+    if degenerate[0]:
+        raise DegenerateCurveError("bilinear system is degenerate")
+    return [(float(r1), float(r2)) for r1, r2 in sol[0, : count[0]]]
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +184,12 @@ def constant_eigenvalue_curve(
     """
     d, p1, p2, q = dec.D(lam), dec.P1(lam), dec.P2(lam), dec.Q(lam)
     scale = max(abs(d), abs(p1), abs(p2), abs(q), 1.0)
-    br = CurveBranch(kind=kind, branch="graph", parameter_name="rho2")
-    rho2_grid = np.asarray(rho2_grid, float)
-    prev_ok = None
-    for r2 in rho2_grid:
-        den = p1 + r2 * q
-        if abs(den) <= 1e-12 * scale * max(1.0, abs(r2)):
-            if prev_ok is not None:
-                br.gaps.append((prev_ok, float(r2)))
-            prev_ok = None
-            continue
+    r2 = np.asarray(rho2_grid, float)
+    den = p1 + r2 * q
+    kept = ~(np.abs(den) <= 1e-12 * scale * np.maximum(1.0, np.abs(r2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
         r1 = -(d + r2 * p2) / den
-        br.points.append(CurvePoint(kind, "graph", float(r2), float(r1), float(r2)))
-        prev_ok = float(r2)
-    return br
+    return grid_branch(kind, "graph", "rho2", r2, r1, r2, kept)
 
 
 def zero_curve(dec: AKDecomposition, rho2_grid) -> CurveBranch:
@@ -171,16 +201,11 @@ def zero_curve(dec: AKDecomposition, rho2_grid) -> CurveBranch:
 # envelope
 
 
-def _envelope_rows(dec: AKDecomposition, lam: float):
-    a = np.array([dec.D(lam), dec.P1(lam), dec.P2(lam), dec.Q(lam)])
-    b = np.array(
-        [
-            dec.D.deriv()(lam),
-            dec.P1.deriv()(lam),
-            dec.P2.deriv()(lam),
-            dec.Q.deriv()(lam),
-        ]
-    )
+def _envelope_rows(dec: AKDecomposition, lam):
+    """Rows (F, dF/dlambda) at each lambda: arrays of shape lam.shape + (4,)."""
+    polys = (dec.D, dec.P1, dec.P2, dec.Q)
+    a = np.stack([p(lam) for p in polys], axis=-1)
+    b = np.stack([p.deriv()(lam) for p in polys], axis=-1)
     return a, b
 
 
@@ -200,32 +225,18 @@ def envelope(dec: AKDecomposition, lam_grid) -> list[CurveBranch]:
 
 
 def _sweep(dec, grid, rows, kind: str, parameter_name: str) -> list[CurveBranch]:
-    """'+' and '-' branches of the bilinear system rows(dec, t) over a grid.
+    """'+' and '-' branches of the bilinear system rows(dec, grid).
 
-    '+' takes the larger rho1 at each grid value; intervals without a real
-    solution are recorded as gaps on both branches.
+    '+' takes the larger rho1 at each grid value (a single solution lies on
+    both); grid values without a real solution, degenerate rows included,
+    leave gaps on both branches.
     """
-    plus = CurveBranch(kind=kind, branch="+", parameter_name=parameter_name)
-    minus = CurveBranch(kind=kind, branch="-", parameter_name=parameter_name)
-    prev_ok = None
-    for t in np.asarray(grid, float):
-        try:
-            sols = solve_bilinear_rows(*rows(dec, t))
-        except DegenerateCurveError:
-            sols = []
-        if not sols:
-            if prev_ok is not None:
-                for br in (plus, minus):
-                    br.gaps.append((prev_ok, float(t)))
-            prev_ok = None
-            continue
-        if len(sols) == 1:
-            sols = [sols[0], sols[0]]
-        lo, hi = sorted(sols, key=lambda s: s[0])
-        plus.points.append(CurvePoint(kind, "+", float(t), hi[0], hi[1]))
-        minus.points.append(CurvePoint(kind, "-", float(t), lo[0], lo[1]))
-        prev_ok = float(t)
-    return [plus, minus]
+    t = np.asarray(grid, float)
+    sol, count, _ = _solve_rows(*rows(dec, t))
+    return [
+        grid_branch(kind, br, parameter_name, t, sol[:, j, 0], sol[:, j, 1], count > 0)
+        for br, j in (("+", 1), ("-", 0))
+    ]
 
 
 def envelope_q_zero(dec: AKDecomposition, lam: float):
@@ -317,11 +328,11 @@ def singular_piece(dec: AKDecomposition, lam: float, tol: float = 1e-9):
 # Hopf curve
 
 
-def _hopf_rows(dec: AKDecomposition, omega: float):
-    z = 1j * omega
-    a = np.array([dec.D(z).real, dec.P1(z).real, dec.P2(z).real, dec.Q(z).real])
-    b = np.array([dec.D(z).imag, dec.P1(z).imag, dec.P2(z).imag, dec.Q(z).imag])
-    return a, b
+def _hopf_rows(dec: AKDecomposition, omega):
+    """Rows (Re F, Im F) at lambda = i omega: arrays of shape omega.shape + (4,)."""
+    z = 1j * np.asarray(omega)
+    v = np.stack([p(z) for p in (dec.D, dec.P1, dec.P2, dec.Q)], axis=-1)
+    return v.real, v.imag
 
 
 def hopf_point(dec: AKDecomposition, omega: float):
@@ -467,11 +478,8 @@ def triple_points(
             qa = nv[0] * nv[1]
             qb = x0[0] * nv[1] + x0[1] * nv[0] - nv[2]
             qc = x0[0] * x0[1] - x0[2]
-            try:
-                ts = _real_quadratic_roots(qa, qb, qc, 1e-14 * max(1.0, abs(qa)))
-            except DegenerateCurveError:
-                ts = []
-            for t in ts:
+            ts, count, _ = _real_quadratic_roots(qa, qb, qc, 1e-14 * max(1.0, abs(qa)))
+            for t in ts[:count]:
                 x = x0 + t * nv
                 starts.append((x[0], x[1]))
         # rank <= 1: underdetermined beyond repair, skip

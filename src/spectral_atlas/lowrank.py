@@ -91,7 +91,12 @@ class LowRankProblem:
         for key in ("M", "f1", "g1"):
             if key not in d:
                 raise ValueError(f"problem spec missing required key '{key}'")
-        return LowRankProblem(d["M"], d["f1"], d["g1"], d.get("f2"), d.get("g2"))
+        prob = LowRankProblem(d["M"], d["f1"], d["g1"], d.get("f2"), d.get("g2"))
+        for key in ("M", "f1", "g1", "f2", "g2"):
+            v = getattr(prob, key)
+            if v is not None and not np.all(np.isfinite(v)):
+                raise ValueError(f"problem spec key '{key}' holds NaN or Infinity")
+        return prob
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ region decomposition cut out by the envelope, Hopf, and zero curves.
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,15 +120,17 @@ class PhaseGrid:
         return set(self.census_counts())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("rho1,rho2,n_real,n_rhp,dominant\n")
-        for i, r1 in enumerate(self.rho1_values):
-            for j, r2 in enumerate(self.rho2_values):
-                buf.write(
-                    f"{r1!r},{r2!r},{self.n_real[i, j]},{self.n_rhp[i, j]},"
-                    f"{DOMINANT_KINDS[self.dominant[i, j]]}\n"
-                )
-        return buf.getvalue()
+        r1 = [repr(v) for v in self.rho1_values.tolist()]
+        r2 = [repr(v) for v in self.rho2_values.tolist()]
+        cells = zip(
+            itertools.product(r1, r2),
+            self.n_real.ravel().tolist(),
+            self.n_rhp.ravel().tolist(),
+            self.dominant.ravel().tolist(),
+        )
+        return "rho1,rho2,n_real,n_rhp,dominant\n" + "".join(
+            f"{a},{b},{nr},{nh},{DOMINANT_KINDS[d]}\n" for (a, b), nr, nh, d in cells
+        )
 
 
 def phase_grid(

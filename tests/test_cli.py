@@ -229,6 +229,19 @@ class TestSubcommands:
         assert lines[0] == "rho1,rho2,n_real,n_rhp,dominant"
         assert len(lines) == 1 + 16
 
+    def test_phase_csv_is_to_csv(self, capsys):
+        code, out, _ = run(
+            ["phase", "--preset", "example1", "--window", " -2:0:-2:0", "--grid", "4"],
+            capsys,
+        )
+        assert code == 0
+        g = phase_grid(example1(), np.linspace(-2, 0, 4), np.linspace(-2, 0, 4))
+        lines = out.splitlines()
+        assert lines[0].startswith("# ")
+        assert lines[1:] == g.to_csv().splitlines()
+        assert "np.float64" not in out
+        assert lines[2].split(",")[2:4] == [str(g.n_real[0, 0]), str(g.n_rhp[0, 0])]
+
     def test_integrator_gain_growth(self, capsys):
         code, out, _ = run(
             ["integrator", "gain", "--rho2-range", " 0.3:0.9:4"], capsys
@@ -314,6 +327,18 @@ class TestExitCodes:
         code, _, err = run(["triples", "--input", str(path)], capsys)
         assert code == 3
         assert "numeric" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["decompose", "envelope"])
+    def test_non_finite_spec_is_2(self, tmp_path, capsys, command, literal):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"M": [[-1.0, %s], [0.0, -2.0]], "f1": [1.0, 0.0], "g1": [0.0, 1.0]}' % literal
+        )
+        code, out, err = run([command, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "'M'" in err
 
     def test_rs_family_without_turning_point_is_3(self, capsys):
         code, _, err = run(["rs", "family", "--k", "0.75", "--steps", "2"], capsys)

@@ -219,6 +219,16 @@ class TestEnvelope:
         for a in asy:
             assert any(lo <= a <= hi for lo, hi in br.gaps)
 
+    def test_crossing_point_is_kept(self, spec):
+        # N1 ^ N2 changes sign across the asymptote at 4 pi: the gap spans
+        # the crossing and both of its ends stay on the curve
+        grid = np.linspace(1.0, 14.0, 200)
+        br = continuum_envelope(spec, grid, "trig")
+        (a,) = envelope_asymptotes(spec, (1.0, 14.0), "trig")
+        i = int(np.searchsorted(grid, a))
+        assert br.gaps == [(grid[i - 1], grid[i])]
+        assert [p.parameter for p in br.points] == grid.tolist()
+
     def test_hyper_curve_second_quadrant(self, spec):
         br = continuum_envelope(spec, np.linspace(0.05, 20.0, 400), "hyper")
         r1, r2 = br.rho_arrays()

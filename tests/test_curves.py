@@ -13,7 +13,9 @@ from spectral_atlas.curves import (
     envelope,
     envelope_point,
     envelope_q_zero,
+    gap_intervals,
     genericity_check,
+    grid_branch,
     hopf_curve,
     hopf_point,
     singular_piece,
@@ -21,6 +23,7 @@ from spectral_atlas.curves import (
     triple_points,
     zero_curve,
 )
+from spectral_atlas.curves import _solve_rows
 from spectral_atlas.kernel import Poly, eig_dense
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.presets import SQRT2, example1
@@ -82,6 +85,145 @@ class TestBilinearSolver:
                 assert abs(v) < 1e-6 * max(1.0, abs(r1), abs(r2)) ** 2
 
 
+    def test_batch_matches_row_by_row_reference(self):
+        # linear, degenerate, gap, one- and two-solution rows in one batch
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((60, 4))
+        b = rng.standard_normal((60, 4))
+        a[::5, 3] = b[::5, 3] = 0.0  # linear rows
+        b[::7] = 2.0 * a[::7]  # dependent rows
+        a[3], b[3] = [-1, 0, 0, 1], [-1, 1, 1, 0]  # negative discriminant
+        a[4], b[4] = [-1, 0, 0, 1], [-2, 1, 0, 0]  # quadratic in rho2 degenerates to linear
+        sol, count, degenerate = _solve_rows(a, b)
+        assert set(count[~degenerate]) == {0, 1, 2} and np.any(degenerate)
+        assert count[4] == 1 and tuple(sol[4, 0]) == (2.0, 0.5)
+        for i in range(60):
+            want = reference_solve(a[i], b[i])
+            assert degenerate[i] == (want is None)
+            if want is None:
+                with pytest.raises(DegenerateCurveError):
+                    solve_bilinear_rows(a[i], b[i])
+                continue
+            assert [tuple(x) for x in sol[i, : count[i]]] == want
+            assert solve_bilinear_rows(a[i], b[i]) == want
+
+
+def reference_quadratic(A, B, C, tol):
+    """Scalar real roots in ascending order; None when A and B vanish."""
+    if abs(A) <= tol:
+        return None if abs(B) <= tol else [-C / B]
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return []
+    s = np.sqrt(disc)
+    q = -0.5 * (B + np.sign(B) * s) if B != 0.0 else 0.5 * s
+    return [0.0, 0.0] if q == 0.0 else sorted([q / A, C / q])
+
+
+def reference_solve(a, b, tol=1e-12):
+    """Row-by-row bilinear solve, in ascending rho1; None when degenerate."""
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
+    t2 = tol * scale**2
+    if abs(a[3]) <= tol * scale and abs(b[3]) <= tol * scale:
+        A = np.array([[a[1], a[2]], [b[1], b[2]]])
+        if abs(np.linalg.det(A)) <= t2:
+            return None
+        return [tuple(np.linalg.solve(A, -np.array([a[0], b[0]])))]
+    e = [a[k] * b[3] - b[k] * a[3] for k in range(3)]
+    c = a if abs(a[3]) >= abs(b[3]) else b
+    if max(abs(e[1]), abs(e[2])) <= t2:
+        return None
+    if abs(e[2]) >= abs(e[1]):
+        roots = reference_quadratic(
+            -c[3] * e[1], c[1] * e[2] - c[2] * e[1] - c[3] * e[0], c[0] * e[2] - c[2] * e[0], t2
+        )
+        sols = None if roots is None else [(r, -(e[0] + e[1] * r) / e[2]) for r in roots]
+    else:
+        roots = reference_quadratic(
+            -c[3] * e[2], c[2] * e[1] - c[1] * e[2] - c[3] * e[0], c[0] * e[1] - c[1] * e[0], t2
+        )
+        sols = None if roots is None else [(-(e[0] + e[2] * r) / e[1], r) for r in roots]
+    return None if sols is None else sorted(sols, key=lambda x: x[0])
+
+
+def reference_gaps(t, kept, breaks):
+    """The per-point state machine the gap rule replaced."""
+    gaps, prev = [], None
+    for ti, k, br in zip(t, kept, breaks):
+        if prev is not None and (not k or br):
+            gaps.append((prev, ti))
+        prev = ti if k else None
+    return gaps
+
+
+# (kept, breaks, gaps as index pairs)
+GAP_CASES = [
+    ("fail at start and end", "..##.#..", None, [(3, 4), (5, 6)]),
+    ("single-point runs", ".#.#.", None, [(1, 2), (3, 4)]),
+    ("alternating", "#.#.#.", None, [(0, 1), (2, 3), (4, 5)]),
+    ("all kept", "#####", None, []),
+    ("all dropped", ".....", None, []),
+    ("one point", "#", None, []),
+    ("empty", "", None, []),
+    ("crossing kept", "#####", "..|..", [(1, 2)]),
+    ("crossing at the first point", "####", "|...", []),
+    ("crossing after a drop", "#.##", "..|.", [(0, 1)]),
+    ("crossing at a drop", "##.#", "..|.", [(1, 2)]),
+]
+
+
+class TestGapRule:
+    @pytest.mark.parametrize("name,kept,breaks,want", GAP_CASES, ids=[c[0] for c in GAP_CASES])
+    def test_table(self, name, kept, breaks, want):
+        t = np.arange(len(kept)) * 0.5 - 1.0
+        k = np.array([c == "#" for c in kept], bool)
+        br = None if breaks is None else np.array([c == "|" for c in breaks], bool)
+        assert gap_intervals(t, k, br) == [(t[i], t[j]) for i, j in want]
+
+    def test_random_masks_match_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(0, 12))
+            t = np.sort(rng.uniform(-3.0, 3.0, n))
+            kept, breaks = rng.random(n) < 0.6, rng.random(n) < 0.3
+            assert gap_intervals(t, kept, breaks) == reference_gaps(t, kept, breaks)
+            assert gap_intervals(t, kept) == reference_gaps(t, kept, np.zeros(n, bool))
+
+    def test_crossing_point_is_kept(self):
+        t = np.linspace(0.0, 1.0, 5)
+        kept = np.ones(5, bool)
+        breaks = np.array([False, False, True, False, False])
+        br = grid_branch("k", "b", "p", t, -t, 2 * t, kept, breaks)
+        assert [p.parameter for p in br.points] == t.tolist()
+        assert br.gaps == [(0.25, 0.5)]
+        assert br.points[2] == CurvePoint("k", "b", 0.5, -0.5, 1.0)
+
+    def test_degenerate_row_is_a_gap(self):
+        # Q = 0, P1 = 1, P2 = lambda^2: the linear envelope system is
+        # singular at lambda = 0 and has the single solution
+        # rho1 = 1 + lambda^3 / 2, rho2 = -3 lambda / 2 elsewhere
+        d = AKDecomposition(Poly([-1.0, 0.0, 0.0, 1.0]), Poly([1.0]), Poly([0.0, 0.0, 1.0]), Poly.zero())
+        grid = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(DegenerateCurveError):
+            envelope_point(d, 0.0)
+        plus, minus = envelope(d, grid)
+        for br in (plus, minus):
+            assert br.gaps == [(-0.5, 0.0)]
+            assert [p.parameter for p in br.points] == [-1.0, -0.5, 0.5, 1.0]
+        for p, m in zip(plus.points, minus.points):
+            assert (p.rho1, p.rho2) == (m.rho1, m.rho2)
+            assert np.isclose(p.rho1, 1.0 + p.parameter**3 / 2.0)
+            assert np.isclose(p.rho2, -1.5 * p.parameter)
+
+    def test_sweep_matches_points(self, dec):
+        grid = np.linspace(-4.0, 0.0, 41)
+        plus, minus = envelope(dec, grid)
+        for lam in grid:
+            sols = envelope_point(dec, lam)
+            got = [(p.rho1, p.rho2) for br in (minus, plus) for p in br.points if p.parameter == lam]
+            assert got == (sols * 2 if len(sols) == 1 else sols)
+
+
 class TestConstantCurve:
     def test_benchmark_zero_curve(self, dec):
         # rho1 = -(12 + (4-2s2) rho2) / ((4-2s2) + rho2 * (-1)) at lambda = 0
@@ -98,6 +240,14 @@ class TestConstantCurve:
         for pt in br.points[::3]:
             ev = eig_dense(perturbed_matrix(p, pt.rho1, pt.rho2)).values
             assert np.min(np.abs(ev - lam)) < 1e-8
+
+    def test_pole_on_grid(self):
+        # P1 + rho2 Q = rho2 - 1/2 vanishes at the grid value rho2 = 1/2
+        d = AKDecomposition(Poly([1.0]), Poly([-0.5]), Poly.zero(), Poly([1.0]))
+        br = constant_eigenvalue_curve(d, 0.0, np.linspace(-1.0, 2.0, 7))
+        assert br.gaps == [(0.0, 0.5)]
+        assert [p.parameter for p in br.points] == [-1.0, -0.5, 0.0, 1.0, 1.5, 2.0]
+        assert all(np.isclose(p.rho1, -1.0 / (p.rho2 - 0.5)) for p in br.points)
 
     def test_pole_records_gap(self, dec):
         # denominator P1 + rho2 Q vanishes at rho2 = P1(0) = 4 - 2 sqrt(2)

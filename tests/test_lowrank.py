@@ -58,6 +58,22 @@ class TestProblem:
         with pytest.raises(ValueError):
             LowRankProblem.from_json(json.dumps({"M": [[1.0]]}))
 
+    @pytest.mark.parametrize("key", ["M", "f1", "g1", "f2", "g2"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_json_non_finite_names_key(self, key, bad):
+        d = json.loads(example1().to_json())
+        if key == "M":
+            d["M"][1][2] = bad
+        else:
+            d[key][0] = bad
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            LowRankProblem.from_json(json.dumps(d))
+
+    def test_json_overflow_is_non_finite(self):
+        text = '{"M": [[1e999]], "f1": [1.0], "g1": [1.0]}'
+        with pytest.raises(ValueError, match="'M'"):
+            LowRankProblem.from_json(text)
+
 
 class TestParallel:
     def test_parallel(self):

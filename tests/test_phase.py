@@ -160,6 +160,12 @@ class TestPhaseGrid:
         lines = g.to_csv().strip().splitlines()
         assert lines[0] == "rho1,rho2,n_real,n_rhp,dominant"
         assert len(lines) == 5
+        assert lines[1:] == [
+            "-1.0,0.0,2,0,complex_stable",
+            "-1.0,1.0,0,0,complex_stable",
+            "0.0,0.0,4,0,real_stable",
+            "0.0,1.0,2,0,real_stable",
+        ]
 
     def test_label_accessor(self, prob):
         g = phase_grid(prob, [0.0], [0.0])
