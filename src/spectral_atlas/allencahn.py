@@ -17,7 +17,8 @@ integrals P, M, R of the quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +39,10 @@ class PoleProximityError(ArithmeticError):
 
 class TurningPointError(ValueError):
     """The turning points of the period quadrature are missing or not simple."""
+
+
+class FamilyCorrectorError(ArithmeticError):
+    """The family corrector did not bring the period back to its start value."""
 
 
 def a_of_k(k: float) -> float:
@@ -175,6 +180,9 @@ class DiscretizedOperator:
     Neumann ends enter through ghost-node reflection, which keeps the exact
     discrete identity H 1 = fp (row sums of the difference block vanish).
     Inner products carry the cell weight h.
+
+    Immutable: the arrays are read-only, so the tridiagonal eigenvalues are
+    computed once, on first use, and shared by every later call.
     """
 
     n: int
@@ -192,16 +200,23 @@ class DiscretizedOperator:
             + np.diag(self.off, -1)
         )
 
+    @functools.cached_property
+    def _eigvals(self) -> np.ndarray:
+        ev = scipy.linalg.eigvalsh_tridiagonal(self.diag, self.off)
+        ev.flags.writeable = False
+        return ev
+
     def eigvals(self) -> np.ndarray:
-        return scipy.linalg.eigvalsh_tridiagonal(self.diag, self.off)
+        """Ascending eigenvalues of H (read-only, computed once)."""
+        return self._eigvals
 
     def eig(self):
         """Eigenvalues and Euclidean-orthonormal eigenvectors (columns)."""
         return scipy.linalg.eigh_tridiagonal(self.diag, self.off)
 
-    def solve(self, b: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """(H - shift I)^{-1} b via a banded solve."""
-        ab = np.zeros((3, self.n))
+    def solve(self, b: np.ndarray, shift: complex = 0.0) -> np.ndarray:
+        """(H - shift I)^{-1} b via a banded solve, complex for a complex shift."""
+        ab = np.zeros((3, self.n), np.result_type(float, shift))
         ab[0, 1:] = self.off
         ab[1] = self.diag - shift
         ab[2, :-1] = self.off
@@ -222,14 +237,15 @@ def build_H_discrete(f_prime, L: float, n: int = 4000) -> DiscretizedOperator:
         raise ValueError("grid too coarse")
     h = 2.0 * L / n
     x = -L + (np.arange(n) + 0.5) * h
-    fp = np.asarray(f_prime(x) if callable(f_prime) else f_prime, float)
+    fp = np.array(f_prime(x) if callable(f_prime) else f_prime, float)
     if fp.shape != (n,):
         raise ValueError("f_prime samples must have length n")
     diag = fp - 2.0 / h**2
-    diag = diag.copy()
     diag[0] += 1.0 / h**2  # ghost reflection at the ends
     diag[-1] += 1.0 / h**2
     off = np.full(n - 1, 1.0 / h**2)
+    for arr in (x, fp, diag, off):
+        arr.flags.writeable = False
     return DiscretizedOperator(n=n, h=h, L=L, x=x, fp=fp, diag=diag, off=off)
 
 
@@ -338,18 +354,20 @@ def herglotz_h(op: DiscretizedOperator, rho: float, lam: complex) -> complex:
     eigenvectors see the feedback); h maps the upper half-plane to itself
     for rho in (0,1], which is what pins the perturbed spectrum to the real
     axis.
+
+    The spectral sum is the resolvent form (h/2L) 1^T (H - lam)^{-1} 1, one
+    banded solve: O(n) per lam once the operator's eigenvalues, which guard
+    the poles, have been computed.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("need rho in (0,1]")
-    ev, vecs = op.eig()
+    ev = op.eigvals()
     scale = float(np.max(np.abs(ev)))
     if np.min(np.abs(ev - lam)) < 1e-12 * max(1.0, scale):
         raise PoleProximityError("lambda sits on the unperturbed spectrum")
     if lam == 0.0 and rho != 1.0:
         raise PoleProximityError("lambda = 0 is the explicit pole of h")
-    # Euclidean-orthonormal columns; continuum overlaps carry sqrt(h)
-    overlaps = op.h * np.sum(vecs, axis=0) ** 2
-    out = np.sum(overlaps / (ev - lam)) / (2.0 * op.L)
+    out = op.h * np.sum(op.solve(np.ones(op.n), lam)) / (2.0 * op.L)
     if rho != 1.0:
         out = out - (1.0 - rho) / (rho * lam)
     return complex(out)
@@ -407,30 +425,49 @@ def turning_points(F, E_const: float, kappa: float, u_inner: float = 0.0):
     return mu_minus, mu_plus
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(nodes: int):
+    """Gauss-Legendre weights and sin^2(theta) nodes for theta in [0, pi/2].
+
+    Built on first use, read-only, shared by every period quadrature.
+    """
+    th, w = np.polynomial.legendre.leggauss(nodes)
+    th = 0.25 * np.pi * (th + 1.0)
+    w = w * 0.25 * np.pi
+    s2 = np.sin(th) ** 2
+    w.flags.writeable = False
+    s2.flags.writeable = False
+    return w, s2
+
+
 def period_integrals(
-    F, E_const: float, kappa: float, f=None, nodes: int = 200, u_inner: float = 0.0
+    F,
+    E_const: float,
+    kappa: float,
+    f=None,
+    nodes: int = 200,
+    u_inner: float = 0.0,
+    mu: tuple[float, float] | None = None,
 ):
     """Period-type integrals (P, M, R) over one oscillation of the quadrature.
 
     P integrates du/sqrt(Q), M weights by u, R by f(u).  The substitution
     u = mu_- + (mu_+ - mu_-) sin^2(theta) removes the inverse-square-root
     endpoint singularities for simple turning points, after which fixed
-    Gauss-Legendre quadrature converges spectrally.
+    Gauss-Legendre quadrature converges spectrally.  mu passes turning
+    points already found by turning_points for the same (E_const, kappa).
     """
     if f is None:
         def f(u):
             d = 1e-6 * np.maximum(1.0, np.abs(u))
             return (F(u + d) - F(u - d)) / (2.0 * d)
 
-    mu_m, mu_p = turning_points(F, E_const, kappa, u_inner)
+    mu_m, mu_p = turning_points(F, E_const, kappa, u_inner) if mu is None else mu
 
     def Q(u):
         return 2.0 * E_const + 2.0 * kappa * u - 2.0 * F(u)
 
-    th, w = np.polynomial.legendre.leggauss(nodes)
-    th = 0.25 * np.pi * (th + 1.0)
-    w = w * 0.25 * np.pi
-    s2 = np.sin(th) ** 2
+    w, s2 = _gauss_rule(nodes)
     u = mu_m + (mu_p - mu_m) * s2
     # Q(u) = (u - mu_m)(mu_p - u) W(u) with W smooth and positive
     W = Q(u) / ((u - mu_m) * (mu_p - u))
@@ -478,7 +515,7 @@ def family_point(
     F, E_const: float, kappa: float, f=None, s: float = 0.0, u_inner: float = 0.0
 ) -> FamilyPoint:
     mu_m, mu_p = turning_points(F, E_const, kappa, u_inner)
-    P, M, R = period_integrals(F, E_const, kappa, f=f, u_inner=u_inner)
+    P, M, R = period_integrals(F, E_const, kappa, f=f, mu=(mu_m, mu_p))
     return FamilyPoint(E_const, kappa, mu_m, mu_p, P, M, R, s)
 
 
@@ -493,8 +530,10 @@ def trace_family(
     """Arclength continuation of the constant-period family P(E, kappa) = P0.
 
     Predictor along the rotated gradient (-P_kappa, P_E)/|grad P|, then a
-    Newton correction back onto the constraint along grad P.  Stops with the
-    points found so far if a fold (vanishing gradient) is reached.
+    Newton correction back onto the constraint along grad P until
+    |P - P0| < 1e-12 max(1, P0); FamilyCorrectorError if that takes more than
+    50 iterations.  Stops with the points found so far if a fold (vanishing
+    gradient) is reached.
     """
     P0 = start.P
     out = [start]
@@ -518,12 +557,16 @@ def trace_family(
         E_new, k_new = E + ds * d[0], kap + ds * d[1]
         # correct back onto P = P0 along the gradient
         g = np.array([P_E, P_k]) / norm
-        for _ in range(5):
+        for _ in range(50):
             r = Pof(E_new, k_new) - P0
             if abs(r) < 1e-12 * max(1.0, P0):
                 break
             E_new -= r * g[0] / norm
             k_new -= r * g[1] / norm
+        else:
+            raise FamilyCorrectorError(
+                f"corrector left |P - P0| = {abs(r):.3g} after 50 iterations"
+            )
         E, kap, s = E_new, k_new, s + ds
         out.append(family_point(F, E, kap, f=f, s=s, u_inner=u_inner))
     return out

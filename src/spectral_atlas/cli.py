@@ -37,6 +37,7 @@ NUMERIC_ERRORS = (
     allencahn.IndeterminateIndexError,
     allencahn.PoleProximityError,
     allencahn.TurningPointError,
+    allencahn.FamilyCorrectorError,
     np.linalg.LinAlgError,
     ZeroDivisionError,
     FloatingPointError,

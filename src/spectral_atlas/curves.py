@@ -229,10 +229,16 @@ def _sweep(dec, grid, rows, kind: str, parameter_name: str) -> list[CurveBranch]
 
     '+' takes the larger rho1 at each grid value (a single solution lies on
     both); grid values without a real solution, degenerate rows included,
-    leave gaps on both branches.
+    leave gaps on both branches.  DegenerateCurveError when every row is
+    degenerate, as on a rank-one problem.
     """
     t = np.asarray(grid, float)
-    sol, count, _ = _solve_rows(*rows(dec, t))
+    sol, count, degenerate = _solve_rows(*rows(dec, t))
+    if t.size and degenerate.all():
+        raise DegenerateCurveError(
+            f"the {kind} system is degenerate at every grid value, "
+            "as on a rank-one problem (P2 = Q = 0)"
+        )
     return [
         grid_branch(kind, br, parameter_name, t, sol[:, j, 0], sol[:, j, 1], count > 0)
         for br, j in (("+", 1), ("-", 0))

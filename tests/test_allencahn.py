@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from spectral_atlas import allencahn
 from spectral_atlas.allencahn import (
     CubicFront,
     IndeterminateIndexError,
@@ -179,6 +180,33 @@ class TestDiscretization:
         with pytest.raises(ValueError):
             build_H_discrete(lambda x: x, 1.0, 8)
 
+    def test_arrays_are_read_only(self, op_half):
+        for name in ("x", "fp", "diag", "off"):
+            with pytest.raises(ValueError):
+                getattr(op_half, name)[0] = 0.0
+
+    def test_samples_passed_in_stay_writable(self):
+        fp = -np.ones(64)
+        op = build_H_discrete(fp, 1.0, 64)
+        fp[0] = 2.0
+        assert op.fp[0] == -1.0
+
+    def test_eigenvalues_cached_read_only(self, op_half):
+        ev = op_half.eigvals()
+        assert ev is op_half.eigvals()
+        with pytest.raises(ValueError):
+            ev[0] = 0.0
+        assert np.array_equal(
+            ev, scipy.linalg.eigvalsh_tridiagonal(op_half.diag, op_half.off)
+        )
+
+    def test_solve_complex_shift(self, op_half):
+        rng = np.random.default_rng(1)
+        b = rng.standard_normal(op_half.n)
+        x = op_half.solve(b, shift=-0.3 + 0.2j)
+        A = op_half.matrix() - (-0.3 + 0.2j) * np.eye(op_half.n)
+        assert np.allclose(A @ x, b, atol=1e-8)
+
     def test_solve_matches_dense(self, op_half):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(op_half.n)
@@ -197,6 +225,18 @@ class TestStabilityIndex:
         assert idx["inner"] > 0
         assert idx["n_plus_perturbed"] == 0
         assert idx["has_kernel"]
+
+    def test_one_eigensolve(self, monkeypatch):
+        calls = []
+        real = scipy.linalg.eigvalsh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counted)
+        stability_index(cubic_operator(0.5, n=1000))
+        assert len(calls) == 1
 
     def test_negative_definite_case(self):
         op = build_H_discrete(lambda x: -np.ones_like(x), 1.0, 400)
@@ -277,12 +317,38 @@ class TestEigStructure:
         ev = np.linalg.eigvals(op.perturbed_matrix(rho))
         assert np.min(np.abs(ev - root)) < 1e-7
 
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.65])
+    def test_herglotz_matches_spectral_sum(self, k):
+        op = cubic_operator(k, n=800)
+        vals, vecs = op.eig()
+
+        def spectral_sum(rho, lam):
+            overlaps = op.h * np.sum(vecs, axis=0) ** 2
+            out = np.sum(overlaps / (vals - lam)) / (2.0 * op.L)
+            if rho != 1.0:
+                out = out - (1.0 - rho) / (rho * lam)
+            return complex(out)
+
+        top = np.sort(vals)[::-1]
+        rng = np.random.default_rng(5)
+        complex_lams = [
+            complex(rng.uniform(-4, 2), rng.uniform(0.05, 2.0)) for _ in range(4)
+        ]
+        # real lambda halfway between adjacent poles near the top of the spectrum
+        real_lams = list(0.5 * (top[:4] + top[1:5]))
+        for rho in (0.25, 0.6, 1.0):
+            for lam in complex_lams + real_lams:
+                got, ref = herglotz_h(op, rho, lam), spectral_sum(rho, lam)
+                assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
     def test_herglotz_validation(self):
         op = cubic_operator(0.5, n=200)
         with pytest.raises(ValueError):
             herglotz_h(op, 0.0, 1.0j)
         with pytest.raises(PoleProximityError):
             herglotz_h(op, 0.5, 0.0)
+        with pytest.raises(PoleProximityError):
+            herglotz_h(op, 0.5, float(op.eigvals()[-1]))
 
 
 class TestPeriodIntegrals:
@@ -327,6 +393,16 @@ class TestPeriodIntegrals:
             kap = rng.uniform(-0.05, 0.05)
             P, M, R = period_integrals(F, 0.3, kap, f=f)
             assert abs(kap * P - R) <= 1e-8 * abs(R) + 1e-12
+
+    def test_rule_cached_read_only(self):
+        w, s2 = allencahn._gauss_rule(200)
+        assert allencahn._gauss_rule(200)[0] is w
+        for arr in (w, s2):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        th, ref_w = np.polynomial.legendre.leggauss(200)
+        assert np.array_equal(w, ref_w * 0.25 * np.pi)
+        assert np.array_equal(s2, np.sin(0.25 * np.pi * (th + 1.0)) ** 2)
 
     def test_against_adaptive_quadrature(self):
         fr = CubicFront.from_k(0.5)

@@ -303,6 +303,15 @@ class TestSubcommands:
         for row in lines[2:]:
             assert abs(float(row.split(",")[5]) - P0) < 1e-7
 
+    def test_rs_family_rows_keep_the_period(self, capsys):
+        # towards k = 0.7 the corrector needs more than five iterations
+        code, out, _ = run(["rs", "family", "--k", "0.7", "--steps", "2"], capsys)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[2:]]
+        P = np.array([float(r[5]) for r in rows])
+        assert len(P) == 3
+        assert np.all(np.abs(P - P[0]) < 1e-12 * max(1.0, P[0]))
+
 
 class TestExitCodes:
     def test_bad_range_is_2(self, capsys):
@@ -339,6 +348,39 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "'M'" in err
+
+    @pytest.mark.parametrize("command", ["envelope", "hopf"])
+    def test_rank_one_curves_are_3(self, tmp_path, capsys, command):
+        # P2 = Q = 0: every row of the sweep is a singular linear system
+        rng = np.random.default_rng(7)
+        spec = {
+            "M": (-2.0 * np.eye(4) + 0.4 * rng.standard_normal((4, 4))).tolist(),
+            "f1": rng.standard_normal(4).tolist(),
+            "g1": rng.standard_normal(4).tolist(),
+        }
+        path = tmp_path / "rank1.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run([command, "--input", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "every" in err and "rank-one" in err
+
+    def test_rs_family_corrector_miss_is_3(self, capsys, monkeypatch):
+        # a period that never settles: the corrector gives up and says by how much
+        from spectral_atlas import allencahn
+
+        exact = allencahn.period_integrals
+        rng = np.random.default_rng(0)
+
+        def noisy(*args, **kwargs):
+            P, M, R = exact(*args, **kwargs)
+            return P + 1e-6 * rng.standard_normal(), M, R
+
+        monkeypatch.setattr(allencahn, "period_integrals", noisy)
+        code, out, err = run(["rs", "family", "--k", "0.5", "--steps", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "|P - P0|" in err
 
     def test_rs_family_without_turning_point_is_3(self, capsys):
         code, _, err = run(["rs", "family", "--k", "0.75", "--steps", "2"], capsys)
