@@ -181,8 +181,11 @@ class DiscretizedOperator:
     discrete identity H 1 = fp (row sums of the difference block vanish).
     Inner products carry the cell weight h.
 
-    Immutable: the arrays are read-only, so the tridiagonal eigenvalues are
-    computed once, on first use, and shared by every later call.
+    Immutable: the arrays are read-only, so what is computed from them is
+    computed once, on first use, and shared by every later call.  The index
+    and the pole guard ask only for the ends of the spectrum and eigenvalue
+    counts, which LAPACK bisection (Sturm counts, O(n) each) answers without
+    a full eigensolve.
     """
 
     n: int
@@ -209,6 +212,33 @@ class DiscretizedOperator:
     def eigvals(self) -> np.ndarray:
         """Ascending eigenvalues of H (read-only, computed once)."""
         return self._eigvals
+
+    @functools.cached_property
+    def _ends(self) -> tuple[float, float]:
+        """Lowest and highest eigenvalue of H, by bisection."""
+        return tuple(
+            float(
+                scipy.linalg.eigvalsh_tridiagonal(
+                    self.diag, self.off, select="i", select_range=(i, i)
+                )[0]
+            )
+            for i in (0, self.n - 1)
+        )
+
+    def count_eigvals(self, lo: float, hi: float) -> int:
+        """Number of eigenvalues of H in (lo, hi]; 0 when lo >= hi.
+
+        LAPACK bisection: two Sturm counts, O(n) each, plus the bisection of
+        the eigenvalues found, so a short interval costs O(n) and no full
+        eigensolve.
+        """
+        if lo >= hi:
+            return 0
+        return len(
+            scipy.linalg.eigvalsh_tridiagonal(
+                self.diag, self.off, select="v", select_range=(lo, hi)
+            )
+        )
 
     def eig(self):
         """Eigenvalues and Euclidean-orthonormal eigenvectors (columns)."""
@@ -301,12 +331,13 @@ def inner_H_inv_one(op: DiscretizedOperator) -> float:
     """<1, H^{-1} 1> with the cell-weighted inner product.
 
     Falls back to a least-squares (pseudo-inverse) solve when H is flagged
-    singular; 1 is in the range of H whenever a stationary family exists.
+    singular, that is when an eigenvalue lies within 1e-8 of zero relative to
+    the spectrum's scale; 1 is in the range of H whenever a stationary family
+    exists.  The singular test is one bisection count, O(n).
     """
-    ev = op.eigvals()
-    scale = float(np.max(np.abs(ev)))
+    delta = 1e-8 * max(map(abs, op._ends))
     ones = np.ones(op.n)
-    if np.min(np.abs(ev)) < 1e-8 * scale:
+    if op.count_eigvals(-delta, delta) > 0:
         A = scipy.sparse.diags(
             [op.off, op.diag, op.off], [-1, 0, 1], format="csr"
         )
@@ -322,20 +353,23 @@ def stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
     n_plus(Htilde) = n_plus(H) minus one exactly when <1, H^{-1} 1> > 0 (the
     zero crossing at rho = 1 arrives from the right half-line).  Also checks
     that the rho = 1 operator has a simple kernel.
+
+    n_plus(H) is a bisection count above a tolerance and the scales come from
+    the ends of the spectrum, so the index costs O(n) and no full eigensolve.
     """
-    ev = op.eigvals()
-    scale = float(np.max(np.abs(ev)))
-    tol = 1e-9 * max(1.0, scale)
-    n_plus_H = int(np.sum(ev > tol))
+    highest = op._ends[1]
+    tol = 1e-9 * max(1.0, *map(abs, op._ends))
+    # scales refer to the top of the spectrum (the bottom is the O(1/h^2)
+    # Laplacian tail)
+    top = max(1.0, abs(highest))
+    n_plus_H = op.count_eigvals(tol, highest + top)
     inner = inner_H_inv_one(op)
     if abs(inner) < 1e-10 * max(1.0, 2.0 * op.L):
         raise IndeterminateIndexError(
             "<1, H^{-1} 1> is numerically zero; index not decided"
         )
     n_plus_pert = n_plus_H - (1 if inner > 0 else 0)
-    # kernel simplicity at the physical coupling rho = 1; scales refer to
-    # the top of the spectrum (the bottom is the O(1/h^2) Laplacian tail)
-    top = max(1.0, abs(ev[-1]))
+    # kernel simplicity at the physical coupling rho = 1
     near0 = np.sort(np.abs(perturbed_eigs_near(op, 1.0, sigma=1e-3 * top)))
     kernel_tol = 1e-3 * top
     has_kernel = bool(near0[0] < kernel_tol and near0[1] > kernel_tol)
@@ -356,15 +390,19 @@ def herglotz_h(op: DiscretizedOperator, rho: float, lam: complex) -> complex:
     axis.
 
     The spectral sum is the resolvent form (h/2L) 1^T (H - lam)^{-1} 1, one
-    banded solve: O(n) per lam once the operator's eigenvalues, which guard
-    the poles, have been computed.
+    banded solve.  The pole guard (an eigenvalue of H within delta of lam)
+    is a bisection count over the real interval where the disc of radius
+    delta about lam meets the axis, so each call is O(n) once the ends of
+    the spectrum, which set delta, are known.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("need rho in (0,1]")
-    ev = op.eigvals()
-    scale = float(np.max(np.abs(ev)))
-    if np.min(np.abs(ev - lam)) < 1e-12 * max(1.0, scale):
-        raise PoleProximityError("lambda sits on the unperturbed spectrum")
+    delta = 1e-12 * max(1.0, *map(abs, op._ends))
+    z = complex(lam)
+    if abs(z.imag) < delta:
+        r = np.sqrt(delta**2 - z.imag**2)
+        if op.count_eigvals(z.real - r, z.real + r) > 0:
+            raise PoleProximityError("lambda sits on the unperturbed spectrum")
     if lam == 0.0 and rho != 1.0:
         raise PoleProximityError("lambda = 0 is the explicit pole of h")
     out = op.h * np.sum(op.solve(np.ones(op.n), lam)) / (2.0 * op.L)

@@ -314,11 +314,6 @@ def continuum_envelope(
 # first-quadrant impossibility lemma
 
 
-def lemma_f(spec: ContinuumSpec, omega: float, x: float) -> float:
-    """The hyperbolic-branch cell response f(omega, x); increasing in omega."""
-    return cell_response(spec, BranchParam(omega, "hyper"), x)
-
-
 def lemma_f_domega(spec: ContinuumSpec, omega: float, x: float) -> float:
     """Analytic d/domega of the hyperbolic cell response; positive throughout.
 

@@ -163,7 +163,10 @@ def resultant(p: Poly, q: Poly) -> float:
         S[i, i : i + m + 1] = pc
     for i in range(m):
         S[n + i, i : i + n + 1] = qc
-    return float(np.linalg.det(S))
+    # det sums log|pivot|; a zero pivot that LAPACK leaves unflagged (seen with
+    # a subnormal coefficient) takes log(0) and warns, though det = 0 is exact
+    with np.errstate(divide="ignore"):
+        return float(np.linalg.det(S))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_atlas import allencahn
 from spectral_atlas.allencahn import (
@@ -30,6 +34,81 @@ from spectral_atlas.kernel import elliptic_K_E
 @pytest.fixture(scope="module")
 def op_half():
     return cubic_operator(0.5, n=4000)
+
+
+# zero or at least 1e-100 in size: bisection's pivot floor (the smallest
+# normal number times the largest squared off-diagonal) would swamp the
+# spectrum of a matrix whose squared entries underflow
+TRIDIAGONAL_ENTRIES = st.floats(-10, 10).filter(
+    lambda v: v == 0.0 or abs(v) >= 1e-100
+)
+
+
+def old_stability_index(op):
+    """stability_index as it was decided from the full spectrum of H."""
+    ev = op.eigvals()
+    scale = float(np.max(np.abs(ev)))
+    n_plus_H = int(np.sum(ev > 1e-9 * max(1.0, scale)))
+    ones = np.ones(op.n)
+    if np.min(np.abs(ev)) < 1e-8 * scale:
+        A = scipy.sparse.diags(
+            [op.off, op.diag, op.off], [-1, 0, 1], format="csr"
+        )
+        y = scipy.sparse.linalg.lsmr(A, ones, atol=1e-12, btol=1e-12)[0]
+    else:
+        y = op.solve(ones)
+    inner = float(op.h * (ones @ y))
+    top = max(1.0, abs(ev[-1]))
+    near0 = np.sort(np.abs(perturbed_eigs_near(op, 1.0, sigma=1e-3 * top)))
+    return {
+        "n_plus_H": n_plus_H,
+        "inner": inner,
+        "n_plus_perturbed": n_plus_H - (1 if inner > 0 else 0),
+        "has_kernel": bool(near0[0] < 1e-3 * top and near0[1] > 1e-3 * top),
+    }
+
+
+def reference_count(ev, lo, hi):
+    return int(np.count_nonzero((ev > lo) & (ev <= hi)))
+
+
+def oracle_intervals(ev):
+    """(lo, hi) pairs around the spectrum ev whose ends keep clear of it.
+
+    lo >= hi, the whole spectrum, an empty gap, and eigenvalues (about a
+    hundred, the ends among them) with a gap of at least 1e-6 of the scale
+    on both sides straddled, with ends a tenth of a gap away from them.
+    """
+    scale = max(1.0, float(np.max(np.abs(ev))))
+    pad = 1e-3 * scale
+    out = [
+        (0.0, 0.0),
+        (1.0, -1.0),
+        (ev[-1] + pad, ev[0] - pad),
+        (ev[0] - pad, ev[-1] + pad),
+        (ev[-1] + pad, ev[-1] + 2 * pad),
+    ]
+    gaps = np.diff(ev)
+    for i in sorted({*range(0, len(ev), max(1, len(ev) // 100)), len(ev) - 1}):
+        left = gaps[i - 1] if i > 0 else pad
+        right = gaps[i] if i < len(gaps) else pad
+        if min(left, right) < 1e-6 * scale:
+            continue
+        out.append((ev[i] - 0.1 * left, ev[i] + 0.1 * right))
+        out.append((ev[i] - 0.1 * left, ev[i] + 0.9 * right))
+        out.append((ev[i] + 0.1 * right, ev[i] + 0.9 * right))
+        out.append((ev[i] - 0.9 * left, ev[i] - 0.1 * left))
+    return out
+
+
+def check_count_oracle(op):
+    ev = op.eigvals()
+    scale = float(np.max(np.abs(ev)))
+    lowest, highest = op._ends
+    assert abs(lowest - ev[0]) <= 1e-13 * scale
+    assert abs(highest - ev[-1]) <= 1e-13 * scale
+    for lo, hi in oracle_intervals(ev):
+        assert op.count_eigvals(lo, hi) == reference_count(ev, lo, hi)
 
 
 class TestCubicFront:
@@ -191,6 +270,32 @@ class TestDiscretization:
         fp[0] = 2.0
         assert op.fp[0] == -1.0
 
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [16, 100, 800])
+    def test_count_and_ends_match_eigvals(self, k, n):
+        check_count_oracle(cubic_operator(k, n=n))
+
+    def test_count_neumann_laplacian(self):
+        op = build_H_discrete(lambda x: np.zeros_like(x), 1.0, 200)
+        check_count_oracle(op)
+        # the zero eigenvalue of the constant mode
+        assert op.count_eigvals(-1e-8, 1e-8) == 1
+        assert op.count_eigvals(1e-8, 1.0) == 0
+
+    @given(
+        st.lists(TRIDIAGONAL_ENTRIES, min_size=2, max_size=30),
+        st.lists(TRIDIAGONAL_ENTRIES, min_size=29, max_size=29),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_count_random_tridiagonal(self, diag, off):
+        n = len(diag)
+        diag, off = np.array(diag), np.array(off[: n - 1])
+        zeros = np.zeros(n)
+        op = allencahn.DiscretizedOperator(
+            n=n, h=1.0, L=1.0, x=zeros, fp=zeros, diag=diag, off=off
+        )
+        check_count_oracle(op)
+
     def test_eigenvalues_cached_read_only(self, op_half):
         ev = op_half.eigvals()
         assert ev is op_half.eigvals()
@@ -226,23 +331,45 @@ class TestStabilityIndex:
         assert idx["n_plus_perturbed"] == 0
         assert idx["has_kernel"]
 
-    def test_one_eigensolve(self, monkeypatch):
-        calls = []
+    def test_no_full_eigensolve(self, monkeypatch):
+        full, eigvals_calls = [], []
         real = scipy.linalg.eigvalsh_tridiagonal
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            if kwargs.get("select", "a") == "a":
+                full.append(1)
             return real(*args, **kwargs)
 
+        def no_eigvals(self):
+            eigvals_calls.append(1)
+            return self._eigvals
+
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counted)
-        stability_index(cubic_operator(0.5, n=1000))
-        assert len(calls) == 1
+        monkeypatch.setattr(
+            allencahn.DiscretizedOperator, "eigvals", no_eigvals
+        )
+        op = cubic_operator(0.5, n=1000)
+        stability_index(op)
+        op800 = cubic_operator(0.5, n=800)
+        for lam in (-0.7 + 0.3j, 0.25, 0.1 + 1e-13j):
+            herglotz_h(op800, 0.6, lam)
+        with pytest.raises(PoleProximityError):
+            herglotz_h(op800, 1.0, op800._ends[1])
+        assert full == [] and eigvals_calls == []
+        assert "_eigvals" not in vars(op) and "_eigvals" not in vars(op800)
+
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [16, 100, 800])
+    def test_matches_full_spectrum_rule(self, k, n):
+        op = cubic_operator(k, n=n)
+        assert stability_index(op) == old_stability_index(op)
 
     def test_negative_definite_case(self):
         op = build_H_discrete(lambda x: -np.ones_like(x), 1.0, 400)
         idx = stability_index(op)
         assert idx["n_plus_H"] == 0
         assert idx["n_plus_perturbed"] == 0
+        assert idx == old_stability_index(op)
 
     def test_crossing_slope(self, op_half):
         # dlambda/drho at the rho=1 zero = -2L / <1, H^{-1} 1>
@@ -340,6 +467,33 @@ class TestEigStructure:
             for lam in complex_lams + real_lams:
                 got, ref = herglotz_h(op, rho, lam), spectral_sum(rho, lam)
                 assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.65])
+    def test_pole_guard_matches_full_spectrum_rule(self, k):
+        op = cubic_operator(k, n=800)
+        ev = op.eigvals()
+        delta = 1e-12 * max(1.0, float(np.max(np.abs(ev))))
+        picks = np.unique(np.r_[np.arange(4), np.arange(0, op.n - 1, 97)])
+        top = ev[::-1]
+        reals = []
+        for i in picks:
+            mid = 0.5 * (top[i] + top[i + 1])
+            reals += [top[i], top[i] + 0.5 * delta, top[i] - 0.9 * delta, mid]
+        raised = 0
+        for re in reals:
+            for im in (0.0, 0.5 * delta, 2.0 * delta, 0.05):
+                lam = complex(re, im) if im else float(re)
+                old_rule = np.min(np.abs(ev - lam)) < delta
+                try:
+                    herglotz_h(op, 1.0, lam)
+                except PoleProximityError:
+                    assert old_rule, lam
+                    raised += 1
+                else:
+                    assert not old_rule, lam
+        # on, and delta/2 from, an eigenvalue at Im 0 and delta/2; 0.9 delta
+        # below one only at Im 0 (at Im delta/2 it lies 1.03 delta away)
+        assert raised == 5 * len(picks)
 
     def test_herglotz_validation(self):
         op = cubic_operator(0.5, n=200)

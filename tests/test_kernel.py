@@ -155,6 +155,12 @@ class TestRootsResultant:
         # res(x^2-1, x-3) = (3-1)(3+1) = 8
         assert np.isclose(resultant(Poly([-1.0, 0.0, 1.0]), Poly([-3.0, 1.0])), 8.0)
 
+    def test_resultant_subnormal_coefficient(self):
+        # the LU leaves a zero pivot unflagged; det must not warn (warnings fail)
+        p = Poly.from_roots([1.0, 2.0, 5e-324])
+        q = Poly.from_roots([1.0, 2.0, 2.0])
+        assert resultant(p, q) == 0.0
+
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=4),
            st.lists(st.floats(-3, 3), min_size=2, max_size=4))
     @settings(max_examples=40, deadline=None)
