@@ -608,3 +608,21 @@ def trace_family(
         E, kap, s = E_new, k_new, s + ds
         out.append(family_point(F, E, kap, f=f, s=s, u_inner=u_inner))
     return out
+
+
+def family_table(front: CubicFront, steps: int, ds: float) -> np.ndarray:
+    """The front's stationary family traced from the symmetric profile
+    (E = 1/2, kappa = 0) by trace_family.
+
+    One row (s, E, kappa, mu_minus, mu_plus, P, M, R, tau) per point; tau is
+    nan at a fold of the family, where it is undefined.
+    """
+    start = family_point(front.F, 0.5, 0.0, f=front.f)
+    rows = []
+    for p in trace_family(front.F, start, steps, ds, f=front.f):
+        try:
+            t = tau(front.F, p.E_const, p.kappa, f=front.f)
+        except ZeroDivisionError:
+            t = float("nan")
+        rows.append((p.s, p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R, t))
+    return np.array(rows)

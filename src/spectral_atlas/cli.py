@@ -1,7 +1,10 @@
 """Command line front end.
 
 Subcommands run the library's analyses on built-in presets or on problem
-specs read from JSON, and write CSV, JSON, or minimal SVG artifacts.
+specs read from JSON, and write CSV, JSON, or minimal SVG artifacts.  Each
+subcommand only parses its arguments, makes one array call into the library
+and writes the result; the numerics, tolerances and file formats live in the
+library.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numeric failures.
 BLAS worker threads follow OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, which
@@ -17,7 +20,6 @@ import sys
 import numpy as np
 
 from . import allencahn, continuum, curves, integrator, lowrank, phase, presets
-from .kernel import Poly
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,15 +83,19 @@ def parse_window(text: str):
     return (vals[0], vals[1]), (vals[2], vals[3])
 
 
+def read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
+
+
 def load_problem(args) -> lowrank.LowRankProblem:
     """Problem from --input JSON or a named --preset."""
     path = getattr(args, "input", None)
     if path:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise ConfigError(f"cannot read {path}: {e}") from None
+        text = read_text(path)
         try:
             return lowrank.LowRankProblem.from_json(text)
         except (ValueError, TypeError) as e:
@@ -108,15 +114,10 @@ def load_decomposition(args) -> lowrank.AKDecomposition:
     """Decomposition from a previously written JSON report, or recomputed."""
     path = getattr(args, "decomposition", None)
     if path:
+        text = read_text(path)
         try:
-            with open(path) as fh:
-                rep = json.load(fh)
-            return lowrank.AKDecomposition(
-                D=Poly(rep["D"]), P1=Poly(rep["P1"]), P2=Poly(rep["P2"]), Q=Poly(rep["Q"])
-            )
-        except OSError as e:
-            raise ConfigError(f"cannot read {path}: {e}") from None
-        except (KeyError, ValueError, json.JSONDecodeError) as e:
+            return lowrank.AKDecomposition.from_json(text)
+        except ValueError as e:
             raise ConfigError(f"{path}: bad decomposition file: {e}") from None
     return lowrank.decompose_cofactor(load_problem(args))
 
@@ -145,8 +146,7 @@ def branches_csv(branches, parameter: str) -> str:
 
 def table_csv(header: str, comment: str, rows) -> str:
     lines = [f"# {comment}", header]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    lines.extend(",".join(map(repr, map(float, row))) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -184,7 +184,10 @@ def branches_svg(branches, width: int = 640, height: int = 480) -> str:
     ]
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
     for i, br in enumerate(branches):
-        # break the polyline at parameter gaps and non-finite points
+        # break the polyline at parameter gaps and non-finite points; every
+        # gap starts at a kept point (curves.gap_intervals), so the polyline
+        # breaks after the point whose parameter opens a gap
+        gap_starts = {lo for lo, _ in br.gaps}
         segs: list[list[tuple[float, float]]] = [[]]
         prev = None
         for p in br.points:
@@ -192,10 +195,7 @@ def branches_svg(branches, width: int = 640, height: int = 480) -> str:
                 segs.append([])
                 prev = None
                 continue
-            if prev is not None and any(
-                prev < lo < p.parameter or prev < hi < p.parameter
-                for lo, hi in br.gaps
-            ):
+            if prev in gap_starts:
                 segs.append([])
             segs[-1].append((sx(p.rho2), sy(p.rho1)))
             prev = p.parameter
@@ -244,31 +244,10 @@ def emit_branches(branches, parameter: str, args) -> None:
 def cmd_decompose(args) -> int:
     prob = load_problem(args)
     dec = lowrank.decompose_cofactor(prob)
-    # verify against direct determinants at fixed off-spectrum sample points
-    rng = np.random.default_rng(0)
-    diff = 0.0
-    eye = np.eye(prob.n)
-    for _ in range(8):
-        r1, r2 = rng.uniform(-2.0, 2.0, 2)
-        lam = rng.uniform(-2.0, 2.0)
-        det = np.linalg.det(lowrank.perturbed_matrix(prob, r1, r2) - lam * eye)
-        val = (
-            dec.D(lam)
-            + r1 * dec.P1(lam)
-            + r2 * dec.P2(lam)
-            + r1 * r2 * dec.Q(lam)
-        )
-        diff = max(diff, abs(det - val) / max(1.0, abs(det)))
-    emit_json(
-        {
-            "D": dec.D.coef.tolist(),
-            "P1": dec.P1.coef.tolist(),
-            "P2": dec.P2.coef.tolist(),
-            "Q": dec.Q.coef.tolist(),
-            "max_route_diff": diff,
-        },
-        args,
-    )
+    # verify against direct determinants at 8 fixed random (rho1, rho2, lambda)
+    r1, r2, lam = np.random.default_rng(0).uniform(-2.0, 2.0, (8, 3)).T
+    diff = lowrank.det_residual(prob, dec, lam, r1, r2)
+    emit(dec.to_json(max_route_diff=diff) + "\n", args)
     return EXIT_OK
 
 
@@ -337,7 +316,6 @@ def _network(args):
 
 def cmd_integrator(args) -> int:
     spec, prob = _network(args)
-    dec = lowrank.decompose_cofactor(prob)
     if args.mode == "impulse":
         t, series = integrator.impulse_response(prob, args.rho1, args.rho2, spec.b, args.t_end)
         mg = integrator.measured_gain(series, spec.b)
@@ -351,31 +329,17 @@ def cmd_integrator(args) -> int:
         )
         return EXIT_OK
     grid = parse_range(args.rho2_range, "--rho2-range")
-    rows = []
-    for r2 in grid:
-        r1 = integrator.constant_tau_rho1(dec, args.lam, r2, prob)
-        if args.mode == "gain":
-            rows.append((r2, r1, integrator.gain(prob, r1, r2, spec.b)))
-        else:
-            rows.append((r2, r1))
+    dec = lowrank.decompose_cofactor(prob)
+    r1 = integrator.constant_tau_rho1(dec, args.lam, grid, prob)
+    header = "rho2,rho1"
+    comment = f"dimensionless constant-eigenvalue curve lambda={args.lam}, parametrized by rho2"
+    cols = [grid, r1]
     if args.mode == "gain":
-        emit(
-            table_csv(
-                "rho2,rho1,gain",
-                f"dimensionless gain along the lambda={args.lam} curve, parametrized by rho2",
-                rows,
-            ),
-            args,
-        )
-    else:
-        emit(
-            table_csv(
-                "rho2,rho1",
-                f"dimensionless constant-eigenvalue curve lambda={args.lam}, parametrized by rho2",
-                rows,
-            ),
-            args,
-        )
+        # one eigensolve with left vectors per point: LAPACK has no batched form
+        header += ",gain"
+        comment = f"dimensionless gain along the lambda={args.lam} curve, parametrized by rho2"
+        cols.append([integrator.gain(prob, a, b, spec.b) for a, b in zip(r1, grid)])
+    emit(table_csv(header, comment, zip(*cols)), args)
     return EXIT_OK
 
 
@@ -386,24 +350,18 @@ def cmd_continuum(args) -> int:
         br = continuum.continuum_envelope(spec, grid, args.branch)
         emit_branches([br], "omega", args)
         return EXIT_OK
-    # lemma-check: sign of the tangency-point ratio over a (x1, x2, omega) grid
+    # lemma-check: sign of the tangency-point ratio over the (omega, x1 < x2) grid
     xs = np.linspace(0.05, 0.95, args.grid)
     oms = np.linspace(0.5, 20.0, args.omega_samples)
-    total = negative = 0
-    worst = -np.inf
-    for om in oms:
-        for i, x1 in enumerate(xs):
-            for x2 in xs[i + 1 :]:
-                ratio, _ = continuum.quadrant_sign_check(spec, om, x1, x2)
-                total += 1
-                negative += int(ratio < 0.0)
-                worst = max(worst, ratio)
+    i, j = np.triu_indices(xs.size, 1)
+    ratio = continuum.quadrant_ratio(spec, oms[:, None], xs[i], xs[j])
+    negative = int(np.count_nonzero(ratio < 0.0))
     emit_json(
         {
-            "points": total,
+            "points": ratio.size,
             "negative": negative,
-            "all_negative": negative == total,
-            "max_ratio": worst,
+            "all_negative": negative == ratio.size,
+            "max_ratio": float(np.max(ratio, initial=-np.inf)),
         },
         args,
     )
@@ -429,18 +387,8 @@ def cmd_rs(args) -> int:
             args,
         )
         return EXIT_OK
-    # family: arclength trace of the stationary-solution family from the
-    # symmetric cubic profile (E=1/2, kappa=0)
-    front = allencahn.CubicFront.from_k(args.k)
-    start = allencahn.family_point(front.F, 0.5, 0.0, f=front.f)
-    path = allencahn.trace_family(front.F, start, args.steps, args.ds, f=front.f)
-    rows = []
-    for p in path:
-        try:
-            t = allencahn.tau(front.F, p.E_const, p.kappa, f=front.f)
-        except ZeroDivisionError:
-            t = float("nan")
-        rows.append((p.s, p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R, t))
+    # family: arclength trace of the stationary-solution family
+    rows = allencahn.family_table(allencahn.CubicFront.from_k(args.k), args.steps, args.ds)
     emit(
         table_csv(
             "s,E,kappa,mu_minus,mu_plus,P,M,R,tau",

@@ -314,11 +314,12 @@ def continuum_envelope(
 # first-quadrant impossibility lemma
 
 
-def lemma_f_domega(spec: ContinuumSpec, omega: float, x: float) -> float:
+def lemma_f_domega(spec: ContinuumSpec, omega, x):
     """Analytic d/domega of the hyperbolic cell response; positive throughout.
 
     The hyperbolic envelope satisfies rho1/rho2 = -f'(x2)/f'(x1), so a
     one-signed derivative pins the ratio negative for every coupling pair.
+    omega and x may be arrays that broadcast against each other.
     """
     S = _denom(spec, "hyper", omega)
     return (
@@ -346,21 +347,30 @@ def bigF(spec: ContinuumSpec, omega: float, x) -> np.ndarray:
     return t1 - t2
 
 
+def quadrant_ratio(spec: ContinuumSpec, omega, x1, x2):
+    """Envelope ratio rho1/rho2 = -f'(x2)/f'(x1) on the hyperbolic branch.
+
+    omega, x1 and x2 broadcast against each other; the ratio is negative
+    wherever the lemma holds.  ZeroDivisionError if f'(x1) vanishes anywhere.
+    """
+    d1 = lemma_f_domega(spec, omega, x1)
+    if np.any(d1 == 0.0):
+        raise ZeroDivisionError("cell-response derivative vanishes at x1")
+    return -lemma_f_domega(spec, omega, x2) / d1
+
+
 def quadrant_sign_check(
     spec: ContinuumSpec, omega: float, x1: float | None = None, x2: float | None = None
 ):
     """Sign of rho1/rho2 on the hyperbolic envelope at coupling points x1, x2.
 
-    Returns (sign_ratio, F_values): the exact envelope ratio
-    -f'(x2)/f'(x1) (negative whenever the lemma holds) and samples of the
-    comparison function at (0, x1, x2, 1).
+    Returns (sign_ratio, F_values): quadrant_ratio at one point (negative
+    whenever the lemma holds) and samples of the comparison function at
+    (0, x1, x2, 1).
     """
     if x1 is None:
         x1 = spec.x1
     if x2 is None:
         x2 = spec.x2
-    d1 = lemma_f_domega(spec, omega, x1)
-    if d1 == 0.0:
-        raise ZeroDivisionError("cell-response derivative vanishes at x1")
-    Fv = bigF(spec, omega, np.array([0.0, x1, x2, 1.0]))
-    return float(-lemma_f_domega(spec, omega, x2) / d1), Fv
+    ratio = quadrant_ratio(spec, omega, x1, x2)
+    return float(ratio), bigF(spec, omega, np.array([0.0, x1, x2, 1.0]))

@@ -174,21 +174,33 @@ def solve_bilinear_rows(a, b, tol: float = 1e-12):
 # constant-eigenvalue (zero-set) curves
 
 
+def graph_rho1(dec: AKDecomposition, lam: float, rho2):
+    """rho1 = -(D + rho2 P2) / (P1 + rho2 Q) at lambda, for a scalar or array rho2.
+
+    Returns (rho1, kept, den): kept is False at a pole of the graph, where
+    the denominator den = dF/drho1 vanishes to within 1e-12 of the
+    polynomial values (relative to rho2 as well); rho1 is inf or nan there.
+    This is the one pole rule of every constant-eigenvalue graph.
+    """
+    d, p1, p2, q = dec.D(lam), dec.P1(lam), dec.P2(lam), dec.Q(lam)
+    scale = max(abs(d), abs(p1), abs(p2), abs(q), 1.0)
+    r2 = np.asarray(rho2, float)
+    den = p1 + r2 * q
+    kept = ~(np.abs(den) <= 1e-12 * scale * np.maximum(1.0, np.abs(r2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = -(d + r2 * p2) / den
+    return r1, kept, den
+
+
 def constant_eigenvalue_curve(
     dec: AKDecomposition, lam: float, rho2_grid, kind: str = "constant"
 ) -> CurveBranch:
     """Locus where lambda stays an eigenvalue: rho1 as a graph over rho2.
 
-    rho1 = -(D + rho2 P2) / (P1 + rho2 Q) at the given lambda; a pole of the
-    graph is recorded as a gap.
+    The graph is graph_rho1's; a pole of the graph is recorded as a gap.
     """
-    d, p1, p2, q = dec.D(lam), dec.P1(lam), dec.P2(lam), dec.Q(lam)
-    scale = max(abs(d), abs(p1), abs(p2), abs(q), 1.0)
     r2 = np.asarray(rho2_grid, float)
-    den = p1 + r2 * q
-    kept = ~(np.abs(den) <= 1e-12 * scale * np.maximum(1.0, np.abs(r2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = -(d + r2 * p2) / den
+    r1, kept, _ = graph_rho1(dec, lam, r2)
     return grid_branch(kind, "graph", "rho2", r2, r1, r2, kept)
 
 

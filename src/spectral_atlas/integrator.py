@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .curves import graph_rho1
 from .kernel import eig_dense
 from .lowrank import AKDecomposition, LowRankProblem, perturbed_matrix
 from . import presets as _presets
@@ -140,27 +140,27 @@ def build_network(spec: NetworkSpec | None = None, preset: str = "custom") -> Lo
 def constant_tau_rho1(
     dec: AKDecomposition,
     lam: float,
-    rho2: float,
+    rho2,
     problem: LowRankProblem | None = None,
-) -> float:
-    """rho1 keeping lambda an eigenvalue at the given rho2 (fixed time constant).
+):
+    """rho1 keeping lambda an eigenvalue at each rho2 (fixed time constant).
 
-    When the underlying problem is supplied the result is polished by Newton
-    steps on the exact determinant, removing the interpolation noise of the
-    decomposition (it matters close to the envelope tangency, where the
-    eigenvalue's sensitivity to rho1 blows up).
+    The graph and its pole rule are curves.graph_rho1's; a scalar rho2 gives
+    a float, an array an array.  ZeroDivisionError if any rho2 sits on a
+    pole.  When the underlying problem is supplied the result is polished by
+    three Newton steps on the exact determinant, one stacked determinant
+    call each, removing the interpolation noise of the decomposition (it
+    matters close to the envelope tangency, where the eigenvalue's
+    sensitivity to rho1 blows up).
     """
-    den = dec.P1(lam) + rho2 * dec.Q(lam)
-    scale = max(abs(dec.D(lam)), abs(dec.P1(lam)), 1.0)
-    if abs(den) <= 1e-12 * scale:
+    r1, kept, den = graph_rho1(dec, lam, rho2)
+    if not np.all(kept):
         raise ZeroDivisionError("constant-eigenvalue curve has an asymptote here")
-    r1 = -(dec.D(lam) + rho2 * dec.P2(lam)) / den
     if problem is not None:
-        eye = np.eye(problem.n)
+        shift = lam * np.eye(problem.n)
         for _ in range(3):
-            det = np.linalg.det(perturbed_matrix(problem, r1, rho2) - lam * eye)
-            r1 = r1 - det / den
-    return float(r1)
+            r1 = r1 - np.linalg.det(perturbed_matrix(problem, r1, rho2) - shift) / den
+    return float(r1) if np.ndim(r1) == 0 else r1
 
 
 def gain(

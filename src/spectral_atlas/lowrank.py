@@ -80,23 +80,32 @@ class LowRankProblem:
     @staticmethod
     def from_json(text: str) -> "LowRankProblem":
         """Problem from a JSON object with keys M, f1, g1 and optionally f2, g2."""
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(
-                f"malformed JSON at line {e.lineno}, column {e.colno}"
-            ) from e
-        if not isinstance(d, dict):
-            raise ValueError("problem spec must be a JSON object")
-        for key in ("M", "f1", "g1"):
-            if key not in d:
-                raise ValueError(f"problem spec missing required key '{key}'")
+        d = _json_object(text, "problem spec", ("M", "f1", "g1"))
         prob = LowRankProblem(d["M"], d["f1"], d["g1"], d.get("f2"), d.get("g2"))
         for key in ("M", "f1", "g1", "f2", "g2"):
             v = getattr(prob, key)
             if v is not None and not np.all(np.isfinite(v)):
                 raise ValueError(f"problem spec key '{key}' holds NaN or Infinity")
         return prob
+
+
+_POLY_KEYS = ("D", "P1", "P2", "Q")
+
+
+def _json_object(text: str, what: str, keys) -> dict:
+    """The JSON object in text, which must hold every key in keys."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(
+            f"malformed JSON at line {e.lineno}, column {e.colno}"
+        ) from e
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} missing required key '{key}'")
+    return d
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ class AKDecomposition:
     def charpoly(self, rho1: float, rho2: float) -> Poly:
         return self.D + rho1 * self.P1 + rho2 * self.P2 + (rho1 * rho2) * self.Q
 
-    def evaluate(self, lam, rho1: float, rho2: float):
+    def evaluate(self, lam, rho1, rho2):
         return (
             self.D(lam)
             + rho1 * self.P1(lam)
@@ -117,12 +126,50 @@ class AKDecomposition:
             + rho1 * rho2 * self.Q(lam)
         )
 
+    # -- serialization ---------------------------------------------------
+    def to_json(self, **extra) -> str:
+        """Ascending coefficients under keys D, P1, P2, Q; extra keys ride along."""
+        d = {k: getattr(self, k).coef.tolist() for k in _POLY_KEYS}
+        return json.dumps({**d, **extra}, indent=2, sort_keys=True)
 
-def perturbed_matrix(p: LowRankProblem, rho1: float, rho2: float) -> np.ndarray:
+    @staticmethod
+    def from_json(text: str) -> "AKDecomposition":
+        """Decomposition from a JSON object whose keys D, P1, P2, Q hold finite
+        1-D coefficient lists; other keys are ignored."""
+        d = _json_object(text, "decomposition", _POLY_KEYS)
+        polys = {}
+        for key in _POLY_KEYS:
+            try:
+                c = np.asarray(d[key], dtype=float)
+            except (TypeError, ValueError):
+                c = np.empty((0,))
+            if c.ndim != 1 or c.size == 0:
+                raise ValueError(f"decomposition key '{key}' is not a list of numbers")
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"decomposition key '{key}' holds NaN or Infinity")
+            polys[key] = Poly(c)
+        return AKDecomposition(**polys)
+
+
+def perturbed_matrix(p: LowRankProblem, rho1, rho2) -> np.ndarray:
+    """M + rho1 f1 g1^T + rho2 f2 g2^T; array rho's give a stack of matrices."""
+    rho1 = np.asarray(rho1, float)[..., None, None]
     A = p.M + rho1 * np.outer(p.f1, p.g1)
     if p.f2 is not None:
-        A = A + rho2 * np.outer(p.f2, p.g2)
+        A = A + np.asarray(rho2, float)[..., None, None] * np.outer(p.f2, p.g2)
     return A
+
+
+def det_residual(p: LowRankProblem, dec: AKDecomposition, lam, rho1, rho2) -> float:
+    """Largest relative gap between det(Mt - lambda I) and the decomposition.
+
+    max |det - F| / max(1, |det|) over the sample points (lam[i], rho1[i],
+    rho2[i]), with one stacked determinant call.
+    """
+    lam = np.asarray(lam, float)
+    det = np.linalg.det(perturbed_matrix(p, rho1, rho2) - lam[..., None, None] * np.eye(p.n))
+    F = dec.evaluate(lam, rho1, rho2)
+    return float(np.max(np.abs(det - F) / np.maximum(1.0, np.abs(det))))
 
 
 def vectors_parallel(u, v, tol: float = 1e-10) -> bool:
@@ -143,7 +190,7 @@ def _det_charpoly(A: np.ndarray, radius: float) -> np.ndarray:
     n = A.shape[0]
     nodes = np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * (n + 1)))
     xs = radius * nodes
-    ys = np.array([np.linalg.det(A - x * np.eye(n)) for x in xs])
+    ys = np.linalg.det(A - xs[:, None, None] * np.eye(n))
     cheb = npc.chebfit(xs, ys, n)
     return npc.cheb2poly(cheb)
 
@@ -250,12 +297,13 @@ def ak_value(
             f"lambda={lam} is within tolerance of spec(M); resolvent is singular"
         )
     lu = scipy.linalg.lu_factor(A)
-    r11 = np.dot(p.g1, scipy.linalg.lu_solve(lu, p.f1))
+    x1 = scipy.linalg.lu_solve(lu, p.f1)
+    r11 = np.dot(p.g1, x1)
     out = 1.0 + rho1 * r11
     if p.f2 is not None:
         x2 = scipy.linalg.lu_solve(lu, p.f2)
         r22 = np.dot(p.g2, x2)
         r12 = np.dot(p.g1, x2)
-        r21 = np.dot(p.g2, scipy.linalg.lu_solve(lu, p.f1))
+        r21 = np.dot(p.g2, x1)
         out = out + rho2 * r22 + rho1 * rho2 * (r11 * r22 - r12 * r21)
     return out

@@ -16,6 +16,7 @@ from spectral_atlas.allencahn import (
     build_H_discrete,
     cubic_operator,
     family_point,
+    family_table,
     herglotz_h,
     inner_H_inv_one,
     lambda1,
@@ -631,3 +632,15 @@ class TestTauAndFamily:
         back = trace_family(fr.F, fwd[-1], steps=10, ds=-0.002, f=fr.f)
         assert abs(back[-1].E_const - start.E_const) < 1e-6
         assert abs(back[-1].kappa - start.kappa) < 1e-6
+
+    def test_family_table_rows(self):
+        fr = CubicFront.from_k(0.5)
+        rows = family_table(fr, steps=2, ds=0.01)
+        start = family_point(fr.F, 0.5, 0.0, f=fr.f)
+        pts = trace_family(fr.F, start, steps=2, ds=0.01, f=fr.f)
+        ref = [
+            [p.s, p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R,
+             tau(fr.F, p.E_const, p.kappa, f=fr.f)]
+            for p in pts
+        ]
+        assert rows.tolist() == ref

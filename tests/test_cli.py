@@ -1,11 +1,14 @@
 """Command line interface: parsing, artifacts, exit codes, reproducibility."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectral_atlas import cli
+from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor
 from spectral_atlas.phase import phase_grid
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
 
@@ -106,6 +109,57 @@ class TestRoundTrip:
         assert first == second
 
 
+class TestDecompositionFile:
+    def write(self, tmp_path, obj):
+        path = tmp_path / "dec.json"
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        return str(path)
+
+    def saved(self, capsys):
+        code, out, _ = run(["decompose", "--preset", "example1"], capsys)
+        assert code == 0
+        return json.loads(out)
+
+    @pytest.mark.parametrize("command", ["envelope", "triples", "curve", "hopf"])
+    def test_nan_coefficient_is_2(self, tmp_path, capsys, command):
+        rep = self.saved(capsys)
+        rep["P1"][1] = float("nan")
+        argv = [command, "--decomposition", self.write(tmp_path, rep)]
+        if command == "curve":
+            argv += ["--lambda", "-1"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "'P1'" in err
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("[1.0, 2.0]", "object"),
+            ('{"D": [1.0], "P1": [1.0], "P2": [0.0]}', "'Q'"),
+            ('{"D": [1.0], "P1": [[1.0]], "P2": [0.0], "Q": [0.0]}', "'P1'"),
+            ('{"D": [], "P1": [1.0], "P2": [0.0], "Q": [0.0]}', "'D'"),
+            ('{"D": [1.0], "P1": [1.0], "P2": ["x"], "Q": [0.0]}', "'P2'"),
+            ('{"D": [1.0], "P1": [1.0], "P2": [0.0], "Q": 3.0}', "'Q'"),
+            ('{"D": [1.0], "P1": [1.0], "P2": [0.0], "Q": [Infinity]}', "'Q'"),
+            ("{not json", "line"),
+        ],
+    )
+    def test_malformed_file_is_2(self, tmp_path, capsys, text, key):
+        code, out, err = run(["envelope", "--decomposition", self.write(tmp_path, text)], capsys)
+        assert code == 2
+        assert out == ""
+        assert key in err
+
+    def test_round_trip_is_the_library_format(self, capsys):
+        rep = self.saved(capsys)
+        dec = AKDecomposition.from_json(json.dumps(rep))
+        ref = decompose_cofactor(example1())
+        for key in ("D", "P1", "P2", "Q"):
+            assert getattr(dec, key).coef.tolist() == getattr(ref, key).coef.tolist()
+        assert json.loads(ref.to_json()) == {k: rep[k] for k in ("D", "P1", "P2", "Q")}
+
+
 class TestArtifacts:
     def test_csv_header_names_parameter(self, capsys):
         code, out, _ = run(
@@ -149,6 +203,17 @@ class TestArtifacts:
         )
         assert code == 0
         assert out.startswith("<svg") and "<polyline" in out and "rho2" in out
+
+    def test_svg_breaks_at_continuum_asymptote(self, capsys):
+        # the asymptote at 4 pi is a break between two kept samples: the
+        # polyline must not join them
+        argv = ["continuum", "envelope", "--omega-range", " 1:14:200"]
+        code, csv, _ = run(argv, capsys)
+        assert code == 0
+        assert sum(l.startswith("# gap") for l in csv.splitlines()) == 1
+        code, svg, _ = run(argv + ["--format", "svg"], capsys)
+        assert code == 0
+        assert svg.count("<polyline") == 2
 
     def test_json_branches(self, capsys):
         code, out, _ = run(
@@ -386,3 +451,28 @@ class TestExitCodes:
         code, _, err = run(["rs", "family", "--k", "0.75", "--steps", "2"], capsys)
         assert code == 3
         assert "turning point" in err
+
+
+def readme_commands():
+    """The spectral-atlas lines of README.md's "Command line" block, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("    spectral-atlas ")
+    ]
+
+
+class TestReadme:
+    def test_every_command_line_runs(self, tmp_path, monkeypatch, capsys):
+        # files named with -o land in (and are read back from) tmp_path
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        for argv in commands:
+            code, _, err = run(argv, capsys)
+            assert code == 0, f"{shlex.join(argv)}: {err}"
+        assert {argv[0] for argv in commands} == {
+            "decompose", "curve", "envelope", "hopf", "triples", "phase",
+            "integrator", "continuum", "rs",
+        }

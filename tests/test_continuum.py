@@ -16,6 +16,7 @@ from spectral_atlas.continuum import (
     greens_coefficients,
     gvector,
     lemma_f_domega,
+    quadrant_ratio,
     quadrant_sign_check,
 )
 from spectral_atlas.curves import branches_to_csv
@@ -298,3 +299,33 @@ class TestQuadrantLemma:
             sr, _ = quadrant_sign_check(spec, om)
             r1, r2 = envelope_rho(spec, BranchParam(om, "hyper"))
             assert np.isclose(sr, r1 / r2, rtol=1e-9)
+
+    @pytest.mark.parametrize("N", [12, 24, 50])
+    def test_ratio_on_a_grid_equals_point_checks(self, N):
+        spec = ContinuumSpec(N=N)
+        xs = np.linspace(0.05, 0.95, 20)
+        oms = np.linspace(0.5, 20.0, 5)
+        i, j = np.triu_indices(xs.size, 1)
+        ratio = quadrant_ratio(spec, oms[:, None], xs[i], xs[j])
+        assert ratio.shape == (5, 190)
+        # the loop lemma-check ran before, one quadrant_sign_check per point
+        ref = [
+            quadrant_sign_check(spec, om, x1, x2)[0]
+            for om in oms
+            for k, x1 in enumerate(xs)
+            for x2 in xs[k + 1 :]
+        ]
+        assert ratio.ravel().tolist() == ref
+
+    def test_ratio_zero_derivative_raises(self, spec, monkeypatch):
+        import spectral_atlas.continuum as continuum
+
+        exact = continuum.lemma_f_domega
+        monkeypatch.setattr(
+            continuum, "lemma_f_domega", lambda s, om, x: np.where(x == 0.3, 0.0, exact(s, om, x))
+        )
+        with pytest.raises(ZeroDivisionError):
+            quadrant_ratio(spec, np.array([1.0, 2.0]), np.array([0.2, 0.3]), 0.6)
+        with pytest.raises(ZeroDivisionError):
+            quadrant_sign_check(spec, 2.0, 0.3, 0.6)
+        assert quadrant_sign_check(spec, 2.0, 0.2, 0.6)[0] < 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spectral_atlas.curves import envelope_point
+from spectral_atlas.curves import constant_eigenvalue_curve, envelope_point
 from spectral_atlas.integrator import (
     DivergentGainError,
     NetworkSpec,
@@ -17,6 +17,7 @@ from spectral_atlas.integrator import (
 )
 from spectral_atlas.kernel import eig_dense
 from spectral_atlas.lowrank import decompose_cofactor, perturbed_matrix
+from spectral_atlas.presets import example1
 
 B6 = np.concatenate([np.ones(6), np.zeros(2)])
 LAM = -0.05  # 20 s time constant
@@ -115,6 +116,65 @@ class TestConstantTau:
         pole = -normal_dec.P1(LAM) / normal_dec.Q(LAM)
         with pytest.raises(ZeroDivisionError):
             constant_tau_rho1(normal_dec, LAM, pole)
+        with pytest.raises(ZeroDivisionError):
+            constant_tau_rho1(normal_dec, LAM, np.array([0.0, pole, 1.0]))
+
+
+def old_constant_tau_rho1(dec, lam, rho2, problem=None):
+    """The scalar implementation before the array form, kept as a reference:
+    its own pole test and one determinant per Newton step."""
+    den = dec.P1(lam) + rho2 * dec.Q(lam)
+    scale = max(abs(dec.D(lam)), abs(dec.P1(lam)), 1.0)
+    if abs(den) <= 1e-12 * scale:
+        raise ZeroDivisionError("constant-eigenvalue curve has an asymptote here")
+    r1 = -(dec.D(lam) + rho2 * dec.P2(lam)) / den
+    if problem is not None:
+        eye = np.eye(problem.n)
+        for _ in range(3):
+            det = np.linalg.det(perturbed_matrix(problem, r1, rho2) - lam * eye)
+            r1 = r1 - det / den
+    return float(r1)
+
+
+class TestConstantTauArray:
+    @pytest.mark.parametrize("preset", ["ag_normal", "ag_in"])
+    @pytest.mark.parametrize("lam", [-0.05, -0.2, -1.0])
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_array_equals_point_calls(self, preset, lam, polish):
+        prob = build_network(preset=preset)
+        dec = decompose_cofactor(prob)
+        problem = prob if polish else None
+        grid = np.linspace(0.0, 1.2, 60)
+        r1 = constant_tau_rho1(dec, lam, grid, problem)
+        assert isinstance(r1, np.ndarray) and r1.shape == grid.shape
+        points = [constant_tau_rho1(dec, lam, r2, problem) for r2 in grid]
+        assert all(type(v) is float for v in points)
+        assert r1.tolist() == points
+        # and the loop the command line ran before, on the old scalar code
+        assert r1.tolist() == [old_constant_tau_rho1(dec, lam, r2, problem) for r2 in grid]
+
+    def test_example1_pole_is_one_rule(self):
+        # Q = -1, so P1 + rho2 Q vanishes at rho2 = P1(lambda)
+        dec = decompose_cofactor(example1())
+        lam = -1.0
+        pole = float(dec.P1(lam))
+        grid = np.array([pole - 1.0, pole, pole + 1.0])
+        br = constant_eigenvalue_curve(dec, lam, grid)
+        assert br.gaps == [(pole - 1.0, pole)]
+        assert [p.parameter for p in br.points] == [pole - 1.0, pole + 1.0]
+        with pytest.raises(ZeroDivisionError):
+            constant_tau_rho1(dec, lam, pole)
+        # near the pole the curve keeps a point exactly when the integrator
+        # rule returns one
+        for off in (1e-15, 1e-13, 1e-12, 1e-11, 1e-9):
+            for r2 in (pole * (1.0 + off), pole * (1.0 - off)):
+                kept = len(constant_eigenvalue_curve(dec, lam, [r2]).points) == 1
+                try:
+                    constant_tau_rho1(dec, lam, r2)
+                    raised = False
+                except ZeroDivisionError:
+                    raised = True
+                assert kept != raised
 
 
 class TestGain:

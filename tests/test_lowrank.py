@@ -13,9 +13,11 @@ from spectral_atlas.lowrank import (
     ak_value,
     decompose_cofactor,
     decompose_spectral,
+    det_residual,
     perturbed_matrix,
     vectors_parallel,
 )
+from spectral_atlas.lowrank import _det_charpoly
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
 
 
@@ -206,3 +208,71 @@ class TestCharpoly:
         cp = dec.charpoly(1.0, -1.0)
         assert isinstance(cp, Poly)
         assert np.isclose(cp(0.5), dec.evaluate(0.5, 1.0, -1.0))
+
+
+def old_route_diff(prob, dec):
+    """The determinant check decompose ran before det_residual, kept as a reference."""
+    rng = np.random.default_rng(0)
+    diff = 0.0
+    eye = np.eye(prob.n)
+    for _ in range(8):
+        r1, r2 = rng.uniform(-2.0, 2.0, 2)
+        lam = rng.uniform(-2.0, 2.0)
+        det = np.linalg.det(perturbed_matrix(prob, r1, r2) - lam * eye)
+        val = dec.D(lam) + r1 * dec.P1(lam) + r2 * dec.P2(lam) + r1 * r2 * dec.Q(lam)
+        diff = max(diff, abs(det - val) / max(1.0, abs(det)))
+    return diff
+
+
+class TestBatched:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_det_residual_equals_old_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, n=3 + seed % 5, rank=1 if seed % 4 == 0 else 2)
+        dec = decompose_cofactor(p)
+        r1, r2, lam = np.random.default_rng(0).uniform(-2.0, 2.0, (8, 3)).T
+        assert det_residual(p, dec, lam, r1, r2) == old_route_diff(p, dec)
+
+    def test_det_residual_sees_a_wrong_coefficient(self):
+        p = example1()
+        dec = decompose_cofactor(p)
+        bad = AKDecomposition(dec.D, dec.P1 + Poly([0.0, 1e-3]), dec.P2, dec.Q)
+        r1, r2, lam = np.random.default_rng(0).uniform(-2.0, 2.0, (8, 3)).T
+        assert det_residual(p, dec, lam, r1, r2) < 1e-10
+        assert det_residual(p, bad, lam, r1, r2) > 1e-5
+
+    def test_stacked_perturbed_matrix(self):
+        p = random_problem(np.random.default_rng(3))
+        r1, r2 = np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.0, -0.25])
+        A = perturbed_matrix(p, r1, r2)
+        assert A.shape == (3, p.n, p.n)
+        for k in range(3):
+            assert np.array_equal(A[k], perturbed_matrix(p, float(r1[k]), float(r2[k])))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_det_charpoly_equals_node_loop(self, seed):
+        import numpy.polynomial.chebyshev as npc
+
+        rng = np.random.default_rng(seed)
+        n = 2 + seed
+        A = rng.standard_normal((n, n))
+        radius = 2.0 * np.linalg.norm(A, np.inf) + 1.0
+        nodes = np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * (n + 1)))
+        xs = radius * nodes
+        ys = np.array([np.linalg.det(A - x * np.eye(n)) for x in xs])
+        ref = npc.cheb2poly(npc.chebfit(xs, ys, n))
+        assert _det_charpoly(A, radius).tolist() == ref.tolist()
+
+
+class TestDecompositionJson:
+    def test_round_trip_is_exact(self):
+        dec = decompose_cofactor(random_problem(np.random.default_rng(5)))
+        back = AKDecomposition.from_json(dec.to_json(max_route_diff=1e-12))
+        for key in ("D", "P1", "P2", "Q"):
+            assert getattr(back, key).coef.tolist() == getattr(dec, key).coef.tolist()
+
+    def test_extra_keys_ride_along(self):
+        text = decompose_cofactor(example1()).to_json(max_route_diff=0.5)
+        d = json.loads(text)
+        assert sorted(d) == ["D", "P1", "P2", "Q", "max_route_diff"]
+        assert d["max_route_diff"] == 0.5
