@@ -14,7 +14,9 @@ must be set before Python starts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,6 +52,35 @@ NUMERIC_ERRORS = (
 # argument parsing helpers
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float option: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """argparse type of a finite float option that must be >= 0."""
+    value = finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _finite_floats(parts, name: str, text: str) -> list[float]:
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as e:
+        raise ConfigError(f"bad {name} {text!r}: {e}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name} must be finite, got {text!r}")
+    return values
+
+
 def parse_range(text: str, name: str = "range"):
     """Inclusive sample range 'a:b:n' -> n equally spaced values.
 
@@ -58,8 +89,9 @@ def parse_range(text: str, name: str = "range"):
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must look like 'a:b:n', got {text!r}")
+    a, b = _finite_floats(parts[:2], name, text)
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        n = int(parts[2])
     except ValueError as e:
         raise ConfigError(f"bad {name} {text!r}: {e}") from None
     if n <= 0:
@@ -74,10 +106,7 @@ def parse_window(text: str):
     parts = text.strip().split(":")
     if len(parts) != 4:
         raise ConfigError(f"window must look like 'a:b:c:d', got {text!r}")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as e:
-        raise ConfigError(f"bad window {text!r}: {e}") from None
+    vals = _finite_floats(parts, "window", text)
     if vals[1] <= vals[0] or vals[3] <= vals[2]:
         raise ConfigError(f"window sides out of order in {text!r}")
     return (vals[0], vals[1]), (vals[2], vals[3])
@@ -144,10 +173,10 @@ def branches_csv(branches, parameter: str) -> str:
     return head + curves.branches_to_csv(branches)
 
 
-def table_csv(header: str, comment: str, rows) -> str:
-    lines = [f"# {comment}", header]
-    lines.extend(",".join(map(repr, map(float, row))) for row in rows)
-    return "\n".join(lines) + "\n"
+def table_csv(header: str, comment: str, columns) -> str:
+    """CSV of equal-length columns, every value written as repr(float)."""
+    cols = [map(repr, np.asarray(c, float).tolist()) for c in columns]
+    return "\n".join([f"# {comment}", header, *map(",".join, zip(*cols))]) + "\n"
 
 
 def branches_svg(branches, width: int = 640, height: int = 480) -> str:
@@ -278,10 +307,7 @@ def cmd_triples(args) -> int:
     parts = args.lambda_window.strip().split(":")
     if len(parts) != 2:
         raise ConfigError(f"--lambda-window must look like 'a:b', got {args.lambda_window!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as e:
-        raise ConfigError(f"bad --lambda-window: {e}") from None
+    lo, hi = _finite_floats(parts, "--lambda-window", args.lambda_window)
     if hi <= lo:
         raise ConfigError("--lambda-window endpoints out of order")
     pts = curves.triple_points(dec, (lo, hi))
@@ -323,7 +349,7 @@ def cmd_integrator(args) -> int:
             table_csv(
                 "t,response",
                 f"impulse response parametrized by time t; measured_gain {mg!r}",
-                zip(t, series),
+                [t, series],
             ),
             args,
         )
@@ -339,7 +365,7 @@ def cmd_integrator(args) -> int:
         header += ",gain"
         comment = f"dimensionless gain along the lambda={args.lam} curve, parametrized by rho2"
         cols.append([integrator.gain(prob, a, b, spec.b) for a, b in zip(r1, grid)])
-    emit(table_csv(header, comment, zip(*cols)), args)
+    emit(table_csv(header, comment, cols), args)
     return EXIT_OK
 
 
@@ -393,7 +419,7 @@ def cmd_rs(args) -> int:
         table_csv(
             "s,E,kappa,mu_minus,mu_plus,P,M,R,tau",
             "stationary-family trace parametrized by arclength s (dimensionless)",
-            rows,
+            rows.T,
         ),
         args,
     )
@@ -404,7 +430,15 @@ def cmd_rs(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    parse_args returns a fresh Namespace on every call and leaves the parser
+    as it was, so every main() call can share it.  The parser holds no
+    command functions: main() looks up cmd_<command> at each call, so a
+    replaced cmd_* function takes effect as it did with a parser per call.
+    """
     ap = argparse.ArgumentParser(
         prog="spectral-atlas",
         description="Eigenvalue phase portraits of rank-one and rank-two perturbations.",
@@ -430,50 +464,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="four-polynomial determinant decomposition")
     problem_opts(p)
     common(p, "json")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("curve", help="constant-eigenvalue curve in the rho plane")
     dec_opts(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--rho2-range", default=" -12:2:400")
     common(p)
-    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("envelope", help="double-eigenvalue (bifurcation) curve")
     dec_opts(p)
     p.add_argument("--lambda-range", default=" -4:0:400")
     common(p)
-    p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("hopf", help="imaginary-pair curve")
     dec_opts(p)
     p.add_argument("--omega-range", default=" 0.01:10:400")
     common(p)
-    p.set_defaults(func=cmd_hopf)
 
     p = sub.add_parser("triples", help="triple-eigenvalue points")
     dec_opts(p)
     p.add_argument("--lambda-window", default=" -6:0")
     common(p, "json")
-    p.set_defaults(func=cmd_triples)
 
     p = sub.add_parser("phase", help="region census over a rho-plane window")
     problem_opts(p)
     p.add_argument("--window", default=" -12:2:-12:2", help="rho1lo:rho1hi:rho2lo:rho2hi")
     p.add_argument("--grid", type=int, default=100)
     common(p)
-    p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("integrator", help="line-attractor network analyses")
     p.add_argument("mode", choices=("gain", "impulse", "curve"))
     p.add_argument("--preset", choices=("ag_normal", "ag_in"), default="ag_normal")
-    p.add_argument("--lambda", dest="lam", type=float, default=-0.05)
+    p.add_argument("--lambda", dest="lam", type=finite_float, default=-0.05)
     p.add_argument("--rho2-range", default=" 0:1.2:60")
-    p.add_argument("--rho1", type=float, default=0.0)
-    p.add_argument("--rho2", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=5.0)
+    p.add_argument("--rho1", type=finite_float, default=0.0)
+    p.add_argument("--rho2", type=finite_float, default=0.0)
+    p.add_argument("--t-end", type=nonnegative_float, default=5.0)
     common(p)
-    p.set_defaults(func=cmd_integrator)
 
     p = sub.add_parser("continuum", help="integral-coupled diffusion eigenbranches")
     p.add_argument("mode", choices=("envelope", "lemma-check"))
@@ -483,17 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=20, help="x-grid side for lemma-check")
     p.add_argument("--omega-samples", type=int, default=5)
     common(p)
-    p.set_defaults(func=cmd_continuum)
 
     p = sub.add_parser("rs", help="nonlocal reaction-diffusion front stability")
     p.add_argument("mode", choices=("lambda1", "index", "family"))
-    p.add_argument("--k", type=float, default=0.5, help="elliptic modulus")
+    p.add_argument("--k", type=finite_float, default=0.5, help="elliptic modulus")
     p.add_argument("--n", type=int, default=4000, help="discretization size")
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--rho", type=finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--ds", type=float, default=0.01)
+    p.add_argument("--ds", type=finite_float, default=0.01)
     common(p, "json")
-    p.set_defaults(func=cmd_rs)
 
     return ap
 
@@ -506,7 +531,7 @@ def main(argv=None) -> int:
         # argparse already printed the message; normalize its error code
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"spectral-atlas: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,6 @@
 """Command line interface: parsing, artifacts, exit codes, reproducibility."""
 
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -40,6 +41,139 @@ class TestParsing:
     def test_window_rejects(self, bad):
         with pytest.raises(cli.ConfigError):
             cli.parse_window(bad)
+
+    @pytest.mark.parametrize("bad", ["nan:1:5", "0:inf:3", " -inf:0:3", "nan:nan:1"])
+    def test_range_rejects_non_finite(self, bad):
+        with pytest.raises(cli.ConfigError, match="finite"):
+            cli.parse_range(bad)
+
+    @pytest.mark.parametrize("bad", ["0:inf:0:1", "nan:1:0:1", "0:1: -inf:1", "0:1:0:nan"])
+    def test_window_rejects_non_finite(self, bad):
+        with pytest.raises(cli.ConfigError, match="finite"):
+            cli.parse_window(bad)
+
+    def test_every_float_option_is_finite(self):
+        # a new float option has to go through the finite-float types too
+        ap = cli.build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        seen = 0
+        for name, p in sub.choices.items():
+            for action in p._actions:
+                opt = f"{name} {'/'.join(action.option_strings) or action.dest}"
+                assert action.type is not float, f"{opt} bypasses cli.finite_float"
+                if isinstance(action.default, float) or action.type in (
+                    cli.finite_float,
+                    cli.nonnegative_float,
+                ):
+                    assert action.type in (cli.finite_float, cli.nonnegative_float), opt
+                    seen += 1
+        assert seen >= 8  # --lambda (curve, integrator), --rho1, --rho2, --t-end, --k, --rho, --ds
+
+    @pytest.mark.parametrize("text", ["nan", "inf", " -inf", "x"])
+    def test_finite_float_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.finite_float(text)
+
+    def test_nonnegative_float(self):
+        assert cli.nonnegative_float("0") == 0.0
+        assert cli.nonnegative_float("2.5") == 2.5
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.nonnegative_float(" -1")
+
+
+def old_table_csv(header, comment, rows):
+    """The row-by-row writer table_csv replaced."""
+    lines = [f"# {comment}", header]
+    lines.extend(",".join(map(repr, map(float, row))) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestTableCsv:
+    def test_float64_columns(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
+        b = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0 / 3.0] * 7 + [2.0])
+        c = rng.uniform(-1.0, 1.0, 50).astype(np.float64)
+        assert isinstance(a[0], np.float64)
+        out = cli.table_csv("a,b,c", "three columns", [a, b, c])
+        assert out == old_table_csv("a,b,c", "three columns", zip(a, b, c))
+
+    def test_int_columns(self):
+        ints = np.arange(-3, 4)
+        py = list(range(7))
+        out = cli.table_csv("i,j", "ints", [ints, py])
+        assert out == old_table_csv("i,j", "ints", zip(ints, py))
+        assert out.splitlines()[2] == "-3.0,0.0"
+
+    def test_empty(self):
+        assert cli.table_csv("x,y", "none", [[], []]) == old_table_csv("x,y", "none", [])
+        rows = np.empty((0, 9))
+        assert cli.table_csv("h", "none", rows.T) == old_table_csv("h", "none", rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrator", "gain", "--rho2-range", " 0:0.9:7"],
+            ["integrator", "curve", "--preset", "ag_in", "--rho2-range", " 0:0.5:9"],
+            ["integrator", "impulse", "--rho2", "0.4", "--t-end", "0.05"],
+            ["rs", "family", "--k", "0.5", "--steps", "3", "--format", "csv"],
+        ],
+        ids=shlex.join,
+    )
+    def test_commands_byte_identical_to_row_writer(self, argv, capsys, monkeypatch):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        monkeypatch.setattr(
+            cli, "table_csv", lambda h, c, cols: old_table_csv(h, c, zip(*cols))
+        )
+        assert run(argv, capsys) == (0, out, "")
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        ap = cli.build_parser()
+        assert cli.build_parser() is ap
+        a = ap.parse_args(["rs", "lambda1"])
+        b = ap.parse_args(["rs", "lambda1"])
+        assert a is not b and vars(a) == vars(b)
+
+    def test_command_looked_up_per_call(self, capsys, monkeypatch):
+        cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_rs", lambda args: print(args.mode) or 0)
+        assert run(["rs", "index"], capsys) == (0, "index\n", "")
+
+    def test_output_file_does_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        argv = ["rs", "lambda1", "--k", "0.3"]
+        assert run(argv + ["-o", str(path)], capsys) == (0, "", "")
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == path.read_text()
+
+    def test_format_does_not_carry_over(self, capsys):
+        ap = cli.build_parser()
+        assert ap.parse_args(["rs", "index", "--format", "csv"]).format == "csv"
+        assert ap.parse_args(["rs", "index"]).format == "json"
+        argv = ["curve", "--preset", "example1", "--lambda", "-1", "--rho2-range", " -3:0:5"]
+        code, as_json, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0 and json.loads(as_json)["parameter"] == "lambda"
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.splitlines()[1] == "kind,branch,parameter,rho1,rho2"
+        code, out, _ = run(["rs", "index", "--k", "0.5", "--n", "200", "--format", "csv"], capsys)
+        code2, out2, _ = run(["rs", "index", "--k", "0.5", "--n", "200"], capsys)
+        assert code == code2 == 0 and json.loads(out2) == json.loads(out)
+
+    def test_failed_call_leaves_no_state(self, capsys):
+        valid = ["integrator", "curve", "--rho2-range", " 0:0.3:4"]
+        first = run(valid, capsys)
+        assert first[0] == 0
+        for bad in (
+            ["integrator", "curve", "--rho2-range", " 0:0.3:4", "--rho1", "nan"],
+            ["integrator", "curve", "--lambda", "x"],
+            ["integrator", "bogus"],
+        ):
+            assert run(bad, capsys)[0] == 2
+            assert run(valid, capsys) == first
 
 
 class TestDecompose:
@@ -446,6 +580,34 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "|P - P0|" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "--preset", "example1", "--lambda-range", " nan:1:5"],
+            ["hopf", "--preset", "example1", "--omega-range", "0.1:inf:5"],
+            ["curve", "--preset", "example1", "--lambda", "nan"],
+            ["phase", "--preset", "example1", "--window", " 0:inf:0:1", "--grid", "3"],
+            ["triples", "--preset", "example1", "--lambda-window", " -inf:0"],
+            ["integrator", "gain", "--preset", "ag_in", "--rho2-range", " inf:inf:5"],
+            ["integrator", "curve", "--preset", "ag_in", "--rho2-range", " inf:inf:5"],
+            ["integrator", "gain", "--lambda", "inf"],
+            ["integrator", "impulse", "--rho1", "nan"],
+            ["integrator", "impulse", "--rho2", " -inf"],
+            ["integrator", "impulse", "--t-end", " -1"],
+            ["integrator", "impulse", "--t-end", "inf"],
+            ["integrator", "impulse", "--t-end", "nan"],
+            ["rs", "lambda1", "--k", "nan"],
+            ["rs", "index", "--rho", "inf", "--n", "200"],
+            ["rs", "family", "--ds", "nan", "--steps", "2"],
+        ],
+        ids=shlex.join,
+    )
+    def test_non_finite_input_is_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err or ">= 0" in err
 
     def test_rs_family_without_turning_point_is_3(self, capsys):
         code, _, err = run(["rs", "family", "--k", "0.75", "--steps", "2"], capsys)

@@ -249,10 +249,75 @@ class TestImpulse:
         t, resp = impulse_response(normal, r1, r2, B6, t_end=80.0)
         assert abs(measured_gain(resp, B6) - measured) <= 0.03 * measured
 
+    def test_t_end_zero_is_one_row(self, normal):
+        t, resp = impulse_response(normal, 0.3, 0.2, B6, t_end=0.0)
+        assert t.tolist() == [0.0]
+        assert resp.tolist() == [B6 @ B6]
+
     def test_measured_gain_validation(self):
         with pytest.raises(ValueError):
             measured_gain([], B6)
         assert measured_gain(np.zeros(5), B6) == 0.0
+
+
+def old_impulse_response(p, rho1, rho2, b, t_end, dt=None):
+    """The stepwise RK4 loop impulse_response replaced: one R @ v per step."""
+    b = np.asarray(b, float)
+    A = perturbed_matrix(p, rho1, rho2)
+    rad = float(np.max(np.abs(eig_dense(A).values)))
+    cap = 0.1 / max(rad, 1e-300)
+    if dt is None:
+        dt = 0.5 * cap
+    if dt > cap:
+        raise ValueError(f"dt={dt} exceeds stability cap 0.1/spectral radius = {cap}")
+    nsteps = int(np.ceil(t_end / dt))
+    H = dt * A
+    R = np.eye(len(b)) + H @ (
+        np.eye(len(b)) + H @ (np.eye(len(b)) / 2.0 + H @ (np.eye(len(b)) / 6.0 + H / 24.0))
+    )
+    ts = np.arange(nsteps + 1) * dt
+    out = np.empty(nsteps + 1)
+    v = b.copy()
+    for i in range(nsteps + 1):
+        out[i] = b @ v
+        if i < nsteps:
+            v = R @ v
+    return ts, out
+
+
+class TestImpulsePanels:
+    """The panel evaluation reproduces the stepwise RK4 iterate b^T R^i b."""
+
+    @pytest.mark.parametrize(
+        "preset,r1,r2,t_end",
+        [
+            # 1025 rows in panels of 33 and 7825 in panels of 89: the last
+            # panel is partly filled
+            ("ag_normal", 0.0, 0.0, 0.2),
+            ("ag_normal", None, 1.095, 80.0),  # criterion 5's largest gain
+            ("ag_in", 1.0, 0.3, 1.0),
+            ("ag_in", 1.7, 0.55, 6.0),  # grows to about 2e169
+        ],
+    )
+    def test_matches_stepwise_loop(self, preset, r1, r2, t_end, normal_dec):
+        p = build_network(preset=preset)
+        if r1 is None:
+            r1 = constant_tau_rho1(normal_dec, LAM, r2)
+        t_old, old = old_impulse_response(p, r1, r2, B6, t_end)
+        t, resp = impulse_response(p, r1, r2, B6, t_end)
+        assert np.array_equal(t, t_old)
+        scale = np.maximum(1.0, np.maximum.accumulate(np.abs(old)))
+        assert np.all(np.abs(resp - old) <= 1e-11 * scale)
+
+    def test_explicit_dt_and_cap(self, normal):
+        cap = 0.1 / np.max(np.abs(eig_dense(perturbed_matrix(normal, 0.5, 0.5)).values))
+        for dt in (0.5 * cap, cap):
+            t_old, old = old_impulse_response(normal, 0.5, 0.5, B6, 0.3, dt=dt)
+            t, resp = impulse_response(normal, 0.5, 0.5, B6, 0.3, dt=dt)
+            assert np.array_equal(t, t_old)
+            assert np.all(np.abs(resp - old) <= 1e-11 * np.maximum.accumulate(np.abs(old)))
+        with pytest.raises(ValueError, match="stability cap"):
+            impulse_response(normal, 0.5, 0.5, B6, 0.3, dt=1.0001 * cap)
 
 
 class TestMiswiredPreset:
