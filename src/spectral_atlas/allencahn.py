@@ -12,7 +12,8 @@ exactly when <1, H^{-1} 1> > 0.  For the cubic f(u) = (1+k^2)u - 2k^2 u^3
 the front is sn(x,k) on [-K(k), K(k)] and everything is explicit through the
 two-gap Lame spectrum.  A one-parameter family of stationary profiles
 (parametrized by mass) gives an equivalent criterion through period-type
-integrals P, M, R of the quadrature.
+integrals P, M, R of the quadrature; F is a polynomial there, so the turning
+points are roots of Q and the quadrature divides them out exactly.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .kernel import elliptic_K_E, jacobi_sn_cn_dn
+from .kernel import Poly, elliptic_K_E, jacobi_sn_cn_dn, poly_roots
 
 
 class IndeterminateIndexError(ArithmeticError):
@@ -65,37 +65,24 @@ class CubicFront:
         K, E = elliptic_K_E(k)
         return cls(k=float(k), K=K, E=E, a=a_of_k(k))
 
-    @classmethod
-    def from_length(cls, L: float) -> "CubicFront":
-        """Invert sqrt(1+k^2) K(k) = L for the modulus."""
-        if L <= np.pi / 2:
-            raise ValueError("need L > pi/2 for a front to exist")
-
-        def g(k):
-            return np.sqrt(1.0 + k**2) * elliptic_K_E(k)[0] - L
-
-        k = scipy.optimize.brentq(g, 1e-12, 1.0 - 1e-14, xtol=1e-14)
-        return cls.from_k(k)
-
-    @property
-    def half_length(self) -> float:
-        return np.sqrt(1.0 + self.k**2) * self.K
-
     def profile(self, x):
         sn, _, _ = jacobi_sn_cn_dn(np.asarray(x, float), self.k)
         return sn
 
-    def f(self, u):
-        u = np.asarray(u, float)
-        return (1.0 + self.k**2) * u - 2.0 * self.k**2 * u**3
+    @functools.cached_property
+    def F(self) -> Poly:
+        """(1+k^2) u^2/2 - k^2 u^4/2, the potential of f."""
+        k2 = self.k**2
+        return Poly([0.0, 0.0, 0.5 * (1.0 + k2), 0.0, -0.5 * k2])
+
+    @functools.cached_property
+    def f(self) -> Poly:
+        """(1+k^2) u - 2k^2 u^3 = F'(u)."""
+        return self.F.deriv()
 
     def f_prime(self, u):
         u = np.asarray(u, float)
         return (1.0 + self.k**2) - 6.0 * self.k**2 * u**2
-
-    def F(self, u):
-        u = np.asarray(u, float)
-        return 0.5 * (1.0 + self.k**2) * u**2 - 0.5 * self.k**2 * u**4
 
 
 def lame_spectrum(k: float):
@@ -427,40 +414,35 @@ class FamilyPoint:
     s: float = 0.0
 
 
-def turning_points(F, E_const: float, kappa: float, u_inner: float = 0.0):
-    """Adjacent simple roots of Q(u) = 2E + 2 kappa u - 2F(u) around u_inner.
+def _Q_coef(F: Poly, E_const: float, kappa: float) -> list[float]:
+    """Ascending coefficients of Q(u) = 2E + 2 kappa u - 2F(u)."""
+    q = [-2.0 * c for c in F.coef.tolist()] + [0.0] * (2 - F.coef.size)
+    q[0] += 2.0 * E_const
+    q[1] += 2.0 * kappa
+    return q
 
-    Q must be positive at u_inner; the returned pair brackets the classical
-    oscillation interval of the quadrature.
+
+def turning_points(F: Poly, E_const: float, kappa: float):
+    """The real roots of Q(u) = 2E + 2 kappa u - 2F(u) nearest 0 on each side.
+
+    Q must be positive at 0 and both roots simple; the returned pair brackets
+    the classical oscillation interval of the quadrature.
     """
-
-    def Q(u):
-        return 2.0 * E_const + 2.0 * kappa * u - 2.0 * F(u)
-
-    if Q(u_inner) <= 0.0:
-        raise TurningPointError("no admissible interval: Q(u_inner) <= 0")
-
-    def march(direction):
-        step = 1e-3
-        u = u_inner
-        for _ in range(200):
-            nxt = u + direction * step
-            if Q(nxt) <= 0.0:
-                lo, hi = (u, nxt) if direction > 0 else (nxt, u)
-                return scipy.optimize.brentq(Q, lo, hi, xtol=1e-15)
-            u = nxt
-            step *= 1.5
-        raise TurningPointError("no turning point found in the search range")
-
-    mu_minus = march(-1.0)
-    mu_plus = march(+1.0)
+    q = _Q_coef(F, E_const, kappa)
+    if q[0] <= 0.0:
+        raise TurningPointError("no admissible interval: Q(0) <= 0")
+    real = [z.real for z in poly_roots(Poly(q)).tolist() if z.imag == 0.0]
+    below = [r for r in real if r < 0.0]
+    above = [r for r in real if r > 0.0]
+    if not (below and above):
+        raise TurningPointError("no turning point on one side of 0")
+    mu = (max(below), min(above))
     # simplicity: Q' must not vanish at the endpoints
-    d = 1e-7 * max(1.0, abs(mu_plus - mu_minus))
-    for mu in (mu_minus, mu_plus):
-        dq = (Q(mu + d) - Q(mu - d)) / (2.0 * d)
-        if abs(dq) < 1e-6 * max(1.0, abs(E_const), abs(kappa)):
-            raise TurningPointError("turning point is not simple (separatrix)")
-    return mu_minus, mu_plus
+    dq = [i * c for i, c in enumerate(q)][:0:-1]
+    tol = 1e-6 * max(1.0, abs(E_const), abs(kappa))
+    if min(abs(np.polyval(dq, r)) for r in mu) < tol:
+        raise TurningPointError("turning point is not simple (separatrix)")
+    return mu
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,47 +460,39 @@ def _gauss_rule(nodes: int):
     return w, s2
 
 
-def period_integrals(
-    F,
-    E_const: float,
-    kappa: float,
-    f=None,
-    nodes: int = 200,
-    u_inner: float = 0.0,
-    mu: tuple[float, float] | None = None,
-):
+def period_integrals(F: Poly, E_const: float, kappa: float, mu: tuple | None = None):
     """Period-type integrals (P, M, R) over one oscillation of the quadrature.
 
-    P integrates du/sqrt(Q), M weights by u, R by f(u).  The substitution
-    u = mu_- + (mu_+ - mu_-) sin^2(theta) removes the inverse-square-root
-    endpoint singularities for simple turning points, after which fixed
-    Gauss-Legendre quadrature converges spectrally.  mu passes turning
+    P integrates du/sqrt(Q), M weights by u, R by f(u) = F'(u).  The
+    substitution u = mu_- + (mu_+ - mu_-) sin^2(theta) removes the
+    inverse-square-root endpoint singularities, and Q = (u - mu_-)(mu_+ - u) W
+    with W the exact polynomial quotient (the remainder of the division by
+    the computed roots is dropped), so the integrand 2/sqrt(W) is smooth and
+    fixed Gauss-Legendre quadrature converges spectrally.  mu passes turning
     points already found by turning_points for the same (E_const, kappa).
     """
-    if f is None:
-        def f(u):
-            d = 1e-6 * np.maximum(1.0, np.abs(u))
-            return (F(u + d) - F(u - d)) / (2.0 * d)
-
-    mu_m, mu_p = turning_points(F, E_const, kappa, u_inner) if mu is None else mu
-
-    def Q(u):
-        return 2.0 * E_const + 2.0 * kappa * u - 2.0 * F(u)
-
-    w, s2 = _gauss_rule(nodes)
+    mu_m, mu_p = turning_points(F, E_const, kappa) if mu is None else mu
+    # c = -W: Q (descending) divided by u - mu_m, then by u - mu_p, by
+    # synthetic division; each remainder (zero up to rounding) is dropped
+    c = _Q_coef(F, E_const, kappa)[::-1]
+    for r in (mu_m, mu_p):
+        for i in range(1, len(c)):
+            c[i] += r * c[i - 1]
+        c.pop()
+    w, s2 = _gauss_rule(200)
     u = mu_m + (mu_p - mu_m) * s2
-    # Q(u) = (u - mu_m)(mu_p - u) W(u) with W smooth and positive
-    W = Q(u) / ((u - mu_m) * (mu_p - u))
+    W = -np.polyval(c, u)
     if np.any(W <= 0.0):
-        raise ValueError("integrand not positive inside the turning interval")
+        raise TurningPointError("integrand not positive inside the turning interval")
     base = 2.0 / np.sqrt(W)
+    f = [i * a for i, a in enumerate(F.coef.tolist())][:0:-1]  # F', descending
     P = float(w @ base)
     M = float(w @ (base * u))
-    R = float(w @ (base * f(u)))
+    R = float(w @ (base * np.polyval(f, u)))
     return P, M, R
 
 
-def tau(F, E_const: float, kappa: float, f=None, u_inner: float = 0.0) -> float:
+def tau(F: Poly, E_const: float, kappa: float) -> float:
     """(M_E P_k - M_k P_E) / (R_E P_k - R_k P_E): dM/dR along the family.
 
     Central differences with one step of Richardson refinement; the sign of
@@ -527,7 +501,7 @@ def tau(F, E_const: float, kappa: float, f=None, u_inner: float = 0.0) -> float:
     """
 
     def vals(E, k):
-        return np.array(period_integrals(F, E, k, f=f, u_inner=u_inner))
+        return np.array(period_integrals(F, E, k))
 
     def partials(step):
         dE = (vals(E_const + step, kappa) - vals(E_const - step, kappa)) / (
@@ -549,21 +523,14 @@ def tau(F, E_const: float, kappa: float, f=None, u_inner: float = 0.0) -> float:
     return float((M_E * P_k - M_k * P_E) / den)
 
 
-def family_point(
-    F, E_const: float, kappa: float, f=None, s: float = 0.0, u_inner: float = 0.0
-) -> FamilyPoint:
-    mu_m, mu_p = turning_points(F, E_const, kappa, u_inner)
-    P, M, R = period_integrals(F, E_const, kappa, f=f, mu=(mu_m, mu_p))
+def family_point(F: Poly, E_const: float, kappa: float, s: float = 0.0) -> FamilyPoint:
+    mu_m, mu_p = turning_points(F, E_const, kappa)
+    P, M, R = period_integrals(F, E_const, kappa, mu=(mu_m, mu_p))
     return FamilyPoint(E_const, kappa, mu_m, mu_p, P, M, R, s)
 
 
 def trace_family(
-    F,
-    start: FamilyPoint,
-    steps: int,
-    ds: float,
-    f=None,
-    u_inner: float = 0.0,
+    F: Poly, start: FamilyPoint, steps: int, ds: float
 ) -> list[FamilyPoint]:
     """Arclength continuation of the constant-period family P(E, kappa) = P0.
 
@@ -581,7 +548,7 @@ def trace_family(
         step = 1e-6 * max(1.0, abs(E), abs(kap))
 
         def Pof(E_, k_):
-            return period_integrals(F, E_, k_, f=f, u_inner=u_inner)[0]
+            return period_integrals(F, E_, k_)[0]
 
         P_E = (Pof(E + step, kap) - Pof(E - step, kap)) / (2.0 * step)
         P_k = (Pof(E, kap + step) - Pof(E, kap - step)) / (2.0 * step)
@@ -606,7 +573,7 @@ def trace_family(
                 f"corrector left |P - P0| = {abs(r):.3g} after 50 iterations"
             )
         E, kap, s = E_new, k_new, s + ds
-        out.append(family_point(F, E, kap, f=f, s=s, u_inner=u_inner))
+        out.append(family_point(F, E, kap, s=s))
     return out
 
 
@@ -617,11 +584,11 @@ def family_table(front: CubicFront, steps: int, ds: float) -> np.ndarray:
     One row (s, E, kappa, mu_minus, mu_plus, P, M, R, tau) per point; tau is
     nan at a fold of the family, where it is undefined.
     """
-    start = family_point(front.F, 0.5, 0.0, f=front.f)
+    start = family_point(front.F, 0.5, 0.0)
     rows = []
-    for p in trace_family(front.F, start, steps, ds, f=front.f):
+    for p in trace_family(front.F, start, steps, ds):
         try:
-            t = tau(front.F, p.E_const, p.kappa, f=front.f)
+            t = tau(front.F, p.E_const, p.kappa)
         except ZeroDivisionError:
             t = float("nan")
         rows.append((p.s, p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R, t))

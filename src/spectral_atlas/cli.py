@@ -71,6 +71,25 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of every count option: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def in_domain(call, *args, **kwargs):
+    """call(*args, **kwargs); its ValueError, an input check, is a ConfigError."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _finite_floats(parts, name: str, text: str) -> list[float]:
     try:
         values = [float(p) for p in parts]
@@ -318,8 +337,6 @@ def cmd_triples(args) -> int:
 def cmd_phase(args) -> int:
     prob = load_problem(args)
     (r1lo, r1hi), (r2lo, r2hi) = parse_window(args.window)
-    if args.grid <= 0:
-        raise ConfigError("--grid must be positive")
     r1 = np.linspace(r1lo, r1hi, args.grid)
     r2 = np.linspace(r2lo, r2hi, args.grid)
     g = phase.phase_grid(prob, r1, r2)
@@ -396,10 +413,11 @@ def cmd_continuum(args) -> int:
 
 def cmd_rs(args) -> int:
     if args.mode == "lambda1":
-        emit_json({"k": args.k, "lambda1": allencahn.lambda1(args.k)}, args)
+        emit_json({"k": args.k, "lambda1": in_domain(allencahn.lambda1, args.k)}, args)
         return EXIT_OK
     if args.mode == "index":
-        op = allencahn.cubic_operator(args.k, n=args.n)
+        # CubicFront.from_k and build_H_discrete check k and n
+        op = in_domain(allencahn.cubic_operator, args.k, n=args.n)
         rep = allencahn.stability_index(op, rho=args.rho)
         emit_json(
             {
@@ -414,7 +432,8 @@ def cmd_rs(args) -> int:
         )
         return EXIT_OK
     # family: arclength trace of the stationary-solution family
-    rows = allencahn.family_table(allencahn.CubicFront.from_k(args.k), args.steps, args.ds)
+    front = in_domain(allencahn.CubicFront.from_k, args.k)
+    rows = allencahn.family_table(front, args.steps, args.ds)
     emit(
         table_csv(
             "s,E,kappa,mu_minus,mu_plus,P,M,R,tau",
@@ -489,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="region census over a rho-plane window")
     problem_opts(p)
     p.add_argument("--window", default=" -12:2:-12:2", help="rho1lo:rho1hi:rho2lo:rho2hi")
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=positive_int, default=100)
     common(p)
 
     p = sub.add_parser("integrator", help="line-attractor network analyses")
@@ -504,19 +523,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continuum", help="integral-coupled diffusion eigenbranches")
     p.add_argument("mode", choices=("envelope", "lemma-check"))
-    p.add_argument("--cells", type=int, default=12, help="number of coupling cells N")
+    p.add_argument("--cells", type=positive_int, default=12, help="number of coupling cells N")
     p.add_argument("--branch", choices=("trig", "hyper"), default="trig")
     p.add_argument("--omega-range", default=" 0.05:40:2000")
-    p.add_argument("--grid", type=int, default=20, help="x-grid side for lemma-check")
-    p.add_argument("--omega-samples", type=int, default=5)
+    p.add_argument("--grid", type=positive_int, default=20, help="x-grid side for lemma-check")
+    p.add_argument("--omega-samples", type=positive_int, default=5)
     common(p)
 
     p = sub.add_parser("rs", help="nonlocal reaction-diffusion front stability")
     p.add_argument("mode", choices=("lambda1", "index", "family"))
     p.add_argument("--k", type=finite_float, default=0.5, help="elliptic modulus")
-    p.add_argument("--n", type=int, default=4000, help="discretization size")
+    p.add_argument("--n", type=positive_int, default=4000, help="discretization size")
     p.add_argument("--rho", type=finite_float, default=1.0)
-    p.add_argument("--steps", type=int, default=40)
+    p.add_argument("--steps", type=positive_int, default=40)
     p.add_argument("--ds", type=finite_float, default=0.01)
     common(p, "json")
 

@@ -221,7 +221,8 @@ def impulse_response(
     response at step i is b^T R^i b.  It is computed in panels of
     m = ceil(sqrt(nsteps + 1)) states: the first panel b, Rb, ..., R^(m-1) b
     is built step by step, every later one is R^m times the one before, and
-    each panel's responses are one product with b.
+    each panel's responses are one product with b.  FloatingPointError
+    names the first time whose response is not finite.
     """
     b = np.asarray(b, float)
     A = perturbed_matrix(p, rho1, rho2)
@@ -239,16 +240,22 @@ def impulse_response(
     m = math.isqrt(nsteps) + 1  # ceil(sqrt(nsteps + 1))
     panel = np.empty((len(b), m))
     panel[:, 0] = b
-    for j in range(1, m):
-        panel[:, j] = R @ panel[:, j - 1]
-    # R - I is exact (R's diagonal is near 1), and R^m is formed from it
-    Rm = eye + _power_minus_identity(R - eye, m)
-    out = np.empty((-(-(nsteps + 1) // m), m))
-    out[0] = b @ panel
-    for k in range(1, len(out)):
-        panel = Rm @ panel
-        out[k] = b @ panel
-    return ts, out.ravel()[: nsteps + 1]
+    # a growing response may leave the float range: checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m):
+            panel[:, j] = R @ panel[:, j - 1]
+        # R - I is exact (R's diagonal is near 1), and R^m is formed from it
+        Rm = eye + _power_minus_identity(R - eye, m)
+        out = np.empty((-(-(nsteps + 1) // m), m))
+        out[0] = b @ panel
+        for k in range(1, len(out)):
+            panel = Rm @ panel
+            out[k] = b @ panel
+    out = out.ravel()[: nsteps + 1]
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise FloatingPointError(f"response is not finite from t = {float(ts[bad[0]])!r} on")
+    return ts, out
 
 
 def _power_minus_identity(E, m: int):

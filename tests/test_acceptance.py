@@ -48,7 +48,7 @@ from spectral_atlas.integrator import (
     impulse_response,
     measured_gain,
 )
-from spectral_atlas.kernel import eig_dense, elliptic_K_E
+from spectral_atlas.kernel import Poly, eig_dense, elliptic_K_E
 from spectral_atlas.lowrank import decompose_cofactor, perturbed_matrix
 from spectral_atlas.phase import EXAMPLE1_REGIONS, classify_point, phase_grid
 from spectral_atlas.presets import (
@@ -357,25 +357,23 @@ def test_criterion_10_family_quadratures(criterion):
         rng = np.random.default_rng(7)
         for k in (0.3, 0.5, 0.7):
             fr = CubicFront.from_k(k)
-            P, M, R = period_integrals(fr.F, 0.5, 0.0, f=fr.f)
+            P, M, R = period_integrals(fr.F, 0.5, 0.0)
             assert abs(P - 2.0 * fr.K) < 1e-8
             assert abs(M) < 1e-8 and abs(R) < 1e-8
-            t = tau(fr.F, 0.5, 0.0, f=fr.f)
+            t = tau(fr.F, 0.5, 0.0)
             inner = inner_H_inv_one(cubic_operator(k, n=2000))
             assert np.sign(t) == np.sign(inner)
         for _ in range(6):
             c2, c4 = rng.uniform(0.5, 2.0, 2)
             c3 = rng.uniform(-0.3, 0.3)
 
-            def F(u, c2=c2, c3=c3, c4=c4):
-                return c2 * u**2 / 2 + c3 * u**3 / 3 + c4 * u**4 / 4
-
+            F = Poly([0.0, 0.0, c2 / 2, c3 / 3, c4 / 4])
             kappa = rng.uniform(-0.05, 0.05)
             P, M, R = period_integrals(F, 1.0, kappa)
             assert abs(kappa * P - R) <= 1e-8 * max(1.0, abs(R))
         fr = CubicFront.from_k(0.5)
-        start = family_point(fr.F, 0.5, 0.0, f=fr.f)
-        path = trace_family(fr.F, start, 100, 0.005, f=fr.f)
+        start = family_point(fr.F, 0.5, 0.0)
+        path = trace_family(fr.F, start, 100, 0.005)
         assert len(path) == 101
         for p in path:
             assert abs(p.P - 2.0 * fr.K) < 1e-8

@@ -29,7 +29,7 @@ from spectral_atlas.allencahn import (
     trace_family,
     turning_points,
 )
-from spectral_atlas.kernel import elliptic_K_E
+from spectral_atlas.kernel import Poly, elliptic_K_E
 
 
 @pytest.fixture(scope="module")
@@ -113,16 +113,18 @@ def check_count_oracle(op):
 
 
 class TestCubicFront:
-    def test_length_relation_roundtrip(self):
-        fr = CubicFront.from_k(0.6)
-        back = CubicFront.from_length(fr.half_length)
-        assert abs(back.k - 0.6) < 1e-10
-
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            CubicFront.from_length(1.0)
-        with pytest.raises(ValueError):
             CubicFront.from_k(1.5)
+
+    def test_F_and_f_are_the_polynomials(self):
+        fr = CubicFront.from_k(0.6)
+        k2 = 0.6**2
+        assert isinstance(fr.F, Poly) and fr.F is fr.F
+        assert fr.F.coef.tolist() == [0.0, 0.0, 0.5 * (1.0 + k2), 0.0, -0.5 * k2]
+        assert fr.f.coef.tolist() == fr.F.deriv().coef.tolist()
+        u = np.linspace(-1.2, 1.2, 7)
+        assert np.allclose(fr.f(u), (1.0 + k2) * u - 2.0 * k2 * u**3, rtol=1e-15, atol=1e-15)
 
     def test_profile_solves_ode(self):
         # sn'' + (1+k^2) sn - 2k^2 sn^3 = 0
@@ -529,9 +531,17 @@ class TestPeriodIntegrals:
     def test_cubic_period_is_2K(self):
         for k in (0.3, 0.5, 0.7):
             fr = CubicFront.from_k(k)
-            P, M, R = period_integrals(fr.F, 0.5, 0.0, f=fr.f)
+            P, M, R = period_integrals(fr.F, 0.5, 0.0)
             assert abs(P - 2 * fr.K) < 1e-8
             assert abs(M) < 1e-10 and abs(R) < 1e-10
+
+    @pytest.mark.parametrize("k", [0.2, 0.2750920299156452, 0.5, 0.65, 0.75])
+    def test_symmetric_period_is_2K_to_rounding(self, k):
+        # W is the exact quotient of Q by its turning-point factors, so no
+        # 0/0 at the nodes next to the ends
+        fr = CubicFront.from_k(k)
+        P = period_integrals(fr.F, 0.5, 0.0)[0]
+        assert abs(P - 2 * fr.K) <= 1e-14 * 2 * fr.K
 
     def test_kappa_P_equals_R(self):
         rng = np.random.default_rng(4)
@@ -539,14 +549,9 @@ class TestPeriodIntegrals:
             c2, c4 = rng.uniform(0.5, 1.5, 2)
             c3 = rng.uniform(-0.1, 0.1)
 
-            def F(u):
-                return c2 * u**2 / 2 + c3 * u**3 / 3 + c4 * u**4 / 4
-
-            def f(u):
-                return c2 * u + c3 * u**2 + c4 * u**3
-
+            F = Poly([0.0, 0.0, c2 / 2, c3 / 3, c4 / 4])
             kap = rng.uniform(-0.05, 0.05)
-            P, M, R = period_integrals(F, 0.3, kap, f=f)
+            P, M, R = period_integrals(F, 0.3, kap)
             assert abs(kap * P - R) <= 1e-8 * abs(R) + 1e-12
 
     def test_rule_cached_read_only(self):
@@ -570,7 +575,7 @@ class TestPeriodIntegrals:
         ref, err = scipy.integrate.quad(
             integrand, mu_m, mu_p, points=[mu_m, mu_p], limit=200
         )
-        P, _, _ = period_integrals(fr.F, E, kap, f=fr.f)
+        P, _, _ = period_integrals(fr.F, E, kap)
         assert abs(P - ref) < 1e-7
 
 
@@ -578,7 +583,7 @@ class TestTauAndFamily:
     def test_tau_sign_matches_inner(self):
         for k in (0.3, 0.5, 0.7):
             fr = CubicFront.from_k(k)
-            t = tau(fr.F, 0.5, 0.0, f=fr.f)
+            t = tau(fr.F, 0.5, 0.0)
             inner = inner_H_inv_one(cubic_operator(k, n=2000))
             assert np.sign(t) == np.sign(inner)
             # the Corollary's identity <1, H^{-1} 1> = 2 L tau
@@ -586,40 +591,33 @@ class TestTauAndFamily:
 
     def test_tau_invariant_under_scaling(self):
         fr = CubicFront.from_k(0.5)
-        t = tau(fr.F, 0.5, 0.0, f=fr.f)
+        t = tau(fr.F, 0.5, 0.0)
         # speeding up the reaction c-fold leaves the profiles (and M)
         # unchanged while R gains the factor c, so tau = dM/dR drops c-fold
         c = 2.7
-
-        def Fs(u):
-            return c * fr.F(u)
-
-        def fs(u):
-            return c * fr.f(u)
-
-        ts = tau(Fs, c * 0.5, 0.0, f=fs)
+        ts = tau(c * fr.F, c * 0.5, 0.0)
         assert abs(t / c - ts) < 1e-6 * max(1.0, abs(ts))
 
     def test_family_keeps_period(self):
         fr = CubicFront.from_k(0.5)
-        start = family_point(fr.F, 0.5, 0.0, f=fr.f)
-        pts = trace_family(fr.F, start, steps=40, ds=0.01, f=fr.f)
+        start = family_point(fr.F, 0.5, 0.0)
+        pts = trace_family(fr.F, start, steps=40, ds=0.01)
         assert len(pts) == 41
         for p in pts:
             assert abs(p.P - start.P) < 1e-8
 
     def test_mass_strictly_varies(self):
         fr = CubicFront.from_k(0.5)
-        start = family_point(fr.F, 0.5, 0.0, f=fr.f)
-        pts = trace_family(fr.F, start, steps=15, ds=0.01, f=fr.f)
+        start = family_point(fr.F, 0.5, 0.0)
+        pts = trace_family(fr.F, start, steps=15, ds=0.01)
         Ms = np.array([p.M for p in pts])
         assert np.all(np.diff(Ms) > 0) or np.all(np.diff(Ms) < 0)
 
     def test_integral_identity_along_family(self):
         # dM/ds = (1/2L) dR/ds <1, H^{-1} 1> with 2L = P
         fr = CubicFront.from_k(0.5)
-        start = family_point(fr.F, 0.5, 0.0, f=fr.f)
-        pts = trace_family(fr.F, start, steps=2, ds=1e-3, f=fr.f)
+        start = family_point(fr.F, 0.5, 0.0)
+        pts = trace_family(fr.F, start, steps=2, ds=1e-3)
         dM = pts[2].M - pts[0].M
         dR = pts[2].R - pts[0].R
         inner = inner_H_inv_one(cubic_operator(0.5, n=2000))
@@ -627,20 +625,20 @@ class TestTauAndFamily:
 
     def test_reversibility(self):
         fr = CubicFront.from_k(0.5)
-        start = family_point(fr.F, 0.5, 0.0, f=fr.f)
-        fwd = trace_family(fr.F, start, steps=10, ds=0.002, f=fr.f)
-        back = trace_family(fr.F, fwd[-1], steps=10, ds=-0.002, f=fr.f)
+        start = family_point(fr.F, 0.5, 0.0)
+        fwd = trace_family(fr.F, start, steps=10, ds=0.002)
+        back = trace_family(fr.F, fwd[-1], steps=10, ds=-0.002)
         assert abs(back[-1].E_const - start.E_const) < 1e-6
         assert abs(back[-1].kappa - start.kappa) < 1e-6
 
     def test_family_table_rows(self):
         fr = CubicFront.from_k(0.5)
         rows = family_table(fr, steps=2, ds=0.01)
-        start = family_point(fr.F, 0.5, 0.0, f=fr.f)
-        pts = trace_family(fr.F, start, steps=2, ds=0.01, f=fr.f)
+        start = family_point(fr.F, 0.5, 0.0)
+        pts = trace_family(fr.F, start, steps=2, ds=0.01)
         ref = [
             [p.s, p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R,
-             tau(fr.F, p.E_const, p.kappa, f=fr.f)]
+             tau(fr.F, p.E_const, p.kappa)]
             for p in pts
         ]
         assert rows.tolist() == ref

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +72,24 @@ class TestParsing:
                     assert action.type in (cli.finite_float, cli.nonnegative_float), opt
                     seen += 1
         assert seen >= 8  # --lambda (curve, integrator), --rho1, --rho2, --t-end, --k, --rho, --ds
+
+    def test_every_count_option_is_positive(self):
+        ap = cli.build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        seen = 0
+        for name, p in sub.choices.items():
+            for action in p._actions:
+                if isinstance(action.default, int) or action.type in (int, cli.positive_int):
+                    opt = f"{name} {'/'.join(action.option_strings)}"
+                    assert action.type is cli.positive_int, opt
+                    seen += 1
+        assert seen == 6  # --grid (phase, continuum), --cells, --omega-samples, --n, --steps
+
+    @pytest.mark.parametrize("text", ["0", " -1", "1.5", "x"])
+    def test_positive_int_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.positive_int(text)
+        assert cli.positive_int("7") == 7
 
     @pytest.mark.parametrize("text", ["nan", "inf", " -inf", "x"])
     def test_finite_float_rejects(self, text):
@@ -511,6 +533,17 @@ class TestSubcommands:
         assert len(P) == 3
         assert np.all(np.abs(P - P[0]) < 1e-12 * max(1.0, P[0]))
 
+    @pytest.mark.parametrize("k", ["0.75", "0.2750920299156452"])
+    def test_rs_family_near_the_outer_root_and_at_noisy_period(self, k, capsys):
+        # k = 0.75: the turning point u = 1 sits next to the root 1/k;
+        # k = 0.2750920299156452: the period must be smooth at 1e-12
+        code, out, err = run(["rs", "family", "--k", k, "--steps", "2"], capsys)
+        assert code == 0, err
+        rows = [l.split(",") for l in out.splitlines()[2:]]
+        P = np.array([float(r[5]) for r in rows])
+        assert len(P) == 3
+        assert np.all(np.abs(P - P[0]) <= 1e-12 * P[0])
+
 
 class TestExitCodes:
     def test_bad_range_is_2(self, capsys):
@@ -610,9 +643,55 @@ class TestExitCodes:
         assert "finite" in err or ">= 0" in err
 
     def test_rs_family_without_turning_point_is_3(self, capsys):
-        code, _, err = run(["rs", "family", "--k", "0.75", "--steps", "2"], capsys)
+        # the step leaves the region where Q has a root on each side of 0
+        code, out, err = run(
+            ["rs", "family", "--k", "0.9", "--ds", "0.01", "--steps", "2"], capsys
+        )
         assert code == 3
+        assert out == ""
         assert "turning point" in err
+
+    def test_impulse_overflow_is_3(self, capsys):
+        code, out, err = run(
+            ["integrator", "impulse", "--rho1", "2.2", "--rho2", "1.1", "--t-end", "60"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        t = float(re.search(r"not finite from t = (\S+)", err).group(1))
+        assert 30.0 < t < 60.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rs", "lambda1", "--k", "1"],
+            ["rs", "index", "--k", "0", "--n", "200"],
+            ["rs", "family", "--k", "1", "--steps", "2"],
+            ["rs", "index", "--n", "8"],
+            ["rs", "family", "--steps", "0"],
+            ["continuum", "lemma-check", "--grid", " -1"],
+            ["continuum", "lemma-check", "--omega-samples", " -2"],
+            ["continuum", "envelope", "--cells", "0"],
+            ["continuum", "envelope", "--cells", " -3"],
+            ["phase", "--preset", "example1", "--grid", "0"],
+        ],
+        ids=shlex.join,
+    )
+    def test_out_of_domain_is_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(("spectral-atlas: ", "usage: "))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, spectral_atlas.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def readme_commands():

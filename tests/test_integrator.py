@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -248,6 +250,16 @@ class TestImpulse:
         r1 = constant_tau_rho1(normal_dec, LAM, r2)
         t, resp = impulse_response(normal, r1, r2, B6, t_end=80.0)
         assert abs(measured_gain(resp, B6) - measured) <= 0.03 * measured
+
+    def test_overflow_names_the_first_non_finite_time(self, normal):
+        with pytest.raises(FloatingPointError, match="not finite") as err:
+            impulse_response(normal, 2.2, 1.1, B6, t_end=60.0)
+        t_bad = float(re.search(r"from t = (\S+)", str(err.value)).group(1))
+        # one step short of the named time the response is finite
+        dt = impulse_response(normal, 2.2, 1.1, B6, t_end=1e-9)[0][1]
+        t, resp = impulse_response(normal, 2.2, 1.1, B6, t_end=t_bad - 1.5 * dt)
+        assert t[-1] == pytest.approx(t_bad - dt)
+        assert np.all(np.isfinite(resp))
 
     def test_t_end_zero_is_one_row(self, normal):
         t, resp = impulse_response(normal, 0.3, 0.2, B6, t_end=0.0)
