@@ -5,15 +5,18 @@ the self-adjoint operator H v = v_xx + f'(u) v with Neumann ends:
 
     Htilde v = H v - (rho / 2L) <f'(u), v> 1,    rho = 1 physically.
 
-Because H 1 = f'(u), the perturbed spectrum is controlled by the unperturbed
-one: eigenvalues are real for rho in [0,1] (a Herglotz argument), a kernel
-appears only at rho = 1, and the positive-eigenvalue count drops by one
-exactly when <1, H^{-1} 1> > 0.  For the cubic f(u) = (1+k^2)u - 2k^2 u^3
-the front is sn(x,k) on [-K(k), K(k)] and everything is explicit through the
-two-gap Lame spectrum.  A one-parameter family of stationary profiles
-(parametrized by mass) gives an equivalent criterion through period-type
-integrals P, M, R of the quadrature; F is a polynomial there, so the turning
-points are roots of Q and the quadrature divides them out exactly.
+Because H 1 = f'(u), Htilde = (I - (rho/2L) 1 <1, .>) H, and the perturbed
+spectrum is controlled by H's and by the resolvent sum
+s(lam) = (1/2L) <1, (H - lam)^{-1} 1>: eigenvalues are real for rho in [0,1]
+(a Herglotz argument), for rho < 1 Htilde has H's inertia (Sylvester's law),
+a kernel appears only at rho = 1, and there the positive-eigenvalue count
+drops by one exactly when <1, H^{-1} 1> > 0.  For the cubic
+f(u) = (1+k^2)u - 2k^2 u^3 the front is sn(x,k) on [-K(k), K(k)] and
+everything is explicit through the two-gap Lame spectrum.  A one-parameter
+family of stationary profiles (parametrized by mass) gives an equivalent
+criterion through period-type integrals P, M, R of the quadrature; F is a
+polynomial there, so the turning points are roots of Q and the quadrature
+divides them out exactly.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .kernel import Poly, elliptic_K_E, jacobi_sn_cn_dn, poly_roots
 
 
 class IndeterminateIndexError(ArithmeticError):
-    """<1, H^{-1} 1> is numerically zero: the index count is not decided."""
+    """H is numerically singular, or <1, H^{-1} 1> is numerically zero at
+    rho = 1: the index count is not decided."""
 
 
 class PoleProximityError(ArithmeticError):
@@ -275,96 +277,80 @@ def cubic_operator(k: float, n: int = 4000) -> DiscretizedOperator:
     return build_H_discrete(fprime_of_x, fr.K, n)
 
 
-def perturbed_eigs_near(
-    op: DiscretizedOperator, rho: float, sigma: float, k: int = 2
-) -> np.ndarray:
-    """The k eigenvalues of Htilde closest to sigma.
-
-    Shift-invert through the Woodbury identity: (H - sigma) is a banded
-    solve and the rank-one feedback costs two extra solves, so the whole
-    inverse application stays O(n).
-    """
-    c = rho * op.h / (2.0 * op.L)
-    ones = np.ones(op.n)
-    y_ones = op.solve(ones, sigma)
-    denom = 1.0 - c * (op.fp @ y_ones)
-    if abs(denom) < 1e-14:
-        raise PoleProximityError("shift sits on a perturbed eigenvalue")
-
-    # Woodbury: (A - c u v^T)^{-1} b = y + y_u * c (v.y) / (1 - c v.y_u)
-    def apply_inv(b):
-        y = op.solve(b, sigma)
-        return y + y_ones * (c * (op.fp @ y) / denom)
-
-    def matvec(v):
-        return (
-            op.diag * v
-            + np.concatenate([op.off * v[1:], [0.0]])
-            + np.concatenate([[0.0], op.off * v[:-1]])
-            - c * ones * (op.fp @ v)
-        )
-
-    A = scipy.sparse.linalg.LinearOperator((op.n, op.n), matvec=matvec)
-    Minv = scipy.sparse.linalg.LinearOperator(
-        (op.n, op.n), matvec=apply_inv
-    )
-    vals = scipy.sparse.linalg.eigs(
-        A, k=k, sigma=sigma, OPinv=Minv, return_eigenvectors=False
-    )
-    return vals
-
-
 def inner_H_inv_one(op: DiscretizedOperator) -> float:
-    """<1, H^{-1} 1> with the cell-weighted inner product.
+    """<1, H^{-1} 1> with the cell-weighted inner product, one banded solve.
 
-    Falls back to a least-squares (pseudo-inverse) solve when H is flagged
-    singular, that is when an eigenvalue lies within 1e-8 of zero relative to
-    the spectrum's scale; 1 is in the range of H whenever a stationary family
-    exists.  The singular test is one bisection count, O(n).
+    This is 2L s(0) for the resolvent sum s(lam) = (h/2L) 1^T (H - lam)^{-1} 1
+    that herglotz_h evaluates.  H must be nonsingular; stability_index checks
+    that by a bisection count before it solves.
     """
-    delta = 1e-8 * max(map(abs, op._ends))
     ones = np.ones(op.n)
-    if op.count_eigvals(-delta, delta) > 0:
-        A = scipy.sparse.diags(
-            [op.off, op.diag, op.off], [-1, 0, 1], format="csr"
-        )
-        y = scipy.sparse.linalg.lsmr(A, ones, atol=1e-12, btol=1e-12)[0]
-    else:
-        y = op.solve(ones)
-    return float(op.h * (ones @ y))
+    return float(op.h * (ones @ op.solve(ones)))
 
 
 def stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
-    """Positive-eigenvalue count of the perturbed operator, by the homotopy rule.
+    """Positive-eigenvalue count of Htilde_rho from H's inertia and s(lam).
 
-    n_plus(Htilde) = n_plus(H) minus one exactly when <1, H^{-1} 1> > 0 (the
-    zero crossing at rho = 1 arrives from the right half-line).  Also checks
-    that the rho = 1 operator has a simple kernel.
+    Because H 1 = fp, Htilde_rho = S H with S = I - (rho h/2L) 1 1^T, and
+    s(lam) = (h/2L) 1^T (H - lam)^{-1} 1 is one banded solve per lam.
 
-    n_plus(H) is a bisection count above a tolerance and the scales come from
-    the ends of the spectrum, so the index costs O(n) and no full eigensolve.
+    For rho in (0,1), S is positive definite, so Htilde_rho is similar to
+    S^(1/2) H S^(1/2) and Sylvester's law of inertia gives n_plus(Htilde_rho)
+    = n_plus(H) and no kernel.  At rho = 1, S projects onto 1-perp: Htilde_1
+    has the eigenvalue 0 (eigenvector H^{-1} 1), which arrives from the right
+    half-line exactly when <1, H^{-1} 1> > 0, so the count drops by one then.
+    Its other eigenvalues are those of H compressed to 1-perp, which
+    interlace H's: the compression has N(mu) - [s(mu) < 0] eigenvalues below
+    mu, N(mu) being H's count.  has_kernel asks that it have none in (-t, t]
+    with t = 1e-3 top, and that the Newton estimate g(0)/g'(0) of the zero
+    eigenvalue lie within t of 0, where g(lam) = 1 - (h/2L) fp^T (H - lam)^{-1} 1
+    and g'(0) = -<1, H^{-1} 1>/2L.
+
+    Counts are LAPACK bisection counts and each s a banded solve, so the
+    index costs O(n).  n_plus(H) counts eigenvalues above tol = max(1e-9 top,
+    8 eps max(|lambda_min|, |lambda_max|)) with top = max(1, |lambda_max|):
+    the top of the spectrum sets the scale of the answer, the O(1/h^2)
+    Laplacian tail at the bottom only the rounding of the counts.  An
+    eigenvalue of H in (-tol, tol], or at rho = 1 a numerically zero
+    <1, H^{-1} 1>, raises IndeterminateIndexError; rho outside (0,1] raises
+    ValueError.
     """
-    highest = op._ends[1]
-    tol = 1e-9 * max(1.0, *map(abs, op._ends))
-    # scales refer to the top of the spectrum (the bottom is the O(1/h^2)
-    # Laplacian tail)
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("need rho in (0,1]")
+    lowest, highest = op._ends
     top = max(1.0, abs(highest))
+    rounding = 8.0 * np.finfo(float).eps * max(abs(lowest), abs(highest))
+    tol = max(1e-9 * top, rounding)
+    if op.count_eigvals(-tol, tol) > 0:
+        raise IndeterminateIndexError(
+            f"H has an eigenvalue within {tol:.3g} of 0; index not decided"
+        )
     n_plus_H = op.count_eigvals(tol, highest + top)
-    inner = inner_H_inv_one(op)
+    ones = np.ones(op.n)
+    y = op.solve(ones)
+    inner = float(op.h * (ones @ y))
+    if rho < 1.0:
+        return {
+            "n_plus_H": n_plus_H,
+            "inner": inner,
+            "n_plus_perturbed": n_plus_H,
+            "has_kernel": False,
+        }
     if abs(inner) < 1e-10 * max(1.0, 2.0 * op.L):
         raise IndeterminateIndexError(
             "<1, H^{-1} 1> is numerically zero; index not decided"
         )
-    n_plus_pert = n_plus_H - (1 if inner > 0 else 0)
-    # kernel simplicity at the physical coupling rho = 1
-    near0 = np.sort(np.abs(perturbed_eigs_near(op, 1.0, sigma=1e-3 * top)))
-    kernel_tol = 1e-3 * top
-    has_kernel = bool(near0[0] < kernel_tol and near0[1] > kernel_tol)
+    t = 1e-3 * top
+    # eigenvalues of the compression in (-t, t], by interlacing; s(mu) has
+    # the sign of 1^T (H - mu)^{-1} 1
+    s_neg = [np.sum(op.solve(ones, mu)) < 0.0 for mu in (t, -t)]
+    others = op.count_eigvals(-t, t) - int(s_neg[0]) + int(s_neg[1])
+    g0 = 1.0 - op.h * (op.fp @ y) / (2.0 * op.L)
     return {
         "n_plus_H": n_plus_H,
         "inner": inner,
-        "n_plus_perturbed": n_plus_pert,
-        "has_kernel": has_kernel,
+        "n_plus_perturbed": n_plus_H - (1 if inner > 0 else 0),
+        "has_kernel": bool(others == 0 and abs(2.0 * op.L * g0 / inner) < t),
     }
 
 

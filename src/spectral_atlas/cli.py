@@ -83,9 +83,15 @@ def positive_int(text: str) -> int:
 
 
 def in_domain(call, *args, **kwargs):
-    """call(*args, **kwargs); its ValueError, an input check, is a ConfigError."""
+    """call(*args, **kwargs); its ValueError, an input check, is a ConfigError.
+
+    The numeric failures that derive from ValueError (LinAlgError,
+    TurningPointError) stay numeric failures.
+    """
     try:
         return call(*args, **kwargs)
+    except NUMERIC_ERRORS:
+        raise
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -394,6 +400,8 @@ def cmd_continuum(args) -> int:
         emit_branches([br], "omega", args)
         return EXIT_OK
     # lemma-check: sign of the tangency-point ratio over the (omega, x1 < x2) grid
+    if args.grid < 2:
+        raise ConfigError(f"lemma-check needs --grid >= 2, two x points for a pair x1 < x2; got {args.grid}")
     xs = np.linspace(0.05, 0.95, args.grid)
     oms = np.linspace(0.5, 20.0, args.omega_samples)
     i, j = np.triu_indices(xs.size, 1)
@@ -404,7 +412,7 @@ def cmd_continuum(args) -> int:
             "points": ratio.size,
             "negative": negative,
             "all_negative": negative == ratio.size,
-            "max_ratio": float(np.max(ratio, initial=-np.inf)),
+            "max_ratio": float(np.max(ratio)),
         },
         args,
     )
@@ -416,9 +424,10 @@ def cmd_rs(args) -> int:
         emit_json({"k": args.k, "lambda1": in_domain(allencahn.lambda1, args.k)}, args)
         return EXIT_OK
     if args.mode == "index":
-        # CubicFront.from_k and build_H_discrete check k and n
+        # CubicFront.from_k and build_H_discrete check k and n,
+        # stability_index checks rho
         op = in_domain(allencahn.cubic_operator, args.k, n=args.n)
-        rep = allencahn.stability_index(op, rho=args.rho)
+        rep = in_domain(allencahn.stability_index, op, rho=args.rho)
         emit_json(
             {
                 "k": args.k,
@@ -534,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("lambda1", "index", "family"))
     p.add_argument("--k", type=finite_float, default=0.5, help="elliptic modulus")
     p.add_argument("--n", type=positive_int, default=4000, help="discretization size")
-    p.add_argument("--rho", type=finite_float, default=1.0)
+    p.add_argument("--rho", type=finite_float, default=1.0, help="index coupling in (0, 1]")
     p.add_argument("--steps", type=positive_int, default=40)
     p.add_argument("--ds", type=finite_float, default=0.01)
     common(p, "json")

@@ -20,7 +20,6 @@ from spectral_atlas.allencahn import (
     inner_H_inv_one,
     lambda1,
     period_integrals,
-    perturbed_eigs_near,
     stability_index,
     tau,
     trace_family,
@@ -58,6 +57,8 @@ from spectral_atlas.presets import (
     SQRT2,
     example1,
 )
+
+from allencahn_oracle import perturbed_eigs_near
 
 LAM_OP = -0.05  # operating eigenvalue of the network models
 B6 = np.concatenate([np.ones(6), np.zeros(2)])

@@ -22,7 +22,6 @@ from spectral_atlas.allencahn import (
     lambda1,
     lame_spectrum,
     period_integrals,
-    perturbed_eigs_near,
     restricted_matrix,
     stability_index,
     tau,
@@ -30,6 +29,8 @@ from spectral_atlas.allencahn import (
     turning_points,
 )
 from spectral_atlas.kernel import Poly, elliptic_K_E
+
+from allencahn_oracle import perturbed_eigs_near
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +374,20 @@ class TestStabilityIndex:
         assert idx["n_plus_H"] == 0
         assert idx["n_plus_perturbed"] == 0
         assert idx == old_stability_index(op)
+
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.8, 0.9])
+    def test_rho_against_dense_spectrum(self, k):
+        op = cubic_operator(k, n=300)
+        for rho in (0.1, 0.5, 0.9, 0.999, 1.0):
+            idx = stability_index(op, rho)
+            ev = np.linalg.eigvals(op.perturbed_matrix(rho))
+            assert idx["n_plus_perturbed"] == np.count_nonzero(ev.real > 1e-6)
+            assert idx["has_kernel"] == (np.count_nonzero(np.abs(ev) < 1e-6) == 1)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5])
+    def test_rho_outside_domain(self, op_half, rho):
+        with pytest.raises(ValueError):
+            stability_index(op_half, rho)
 
     def test_crossing_slope(self, op_half):
         # dlambda/drho at the rho=1 zero = -2L / <1, H^{-1} 1>

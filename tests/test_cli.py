@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectral_atlas import cli
+from spectral_atlas import allencahn, cli
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor
 from spectral_atlas.phase import phase_grid
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
+
+from allencahn_oracle import direct_inner
 
 
 def run(argv, capsys):
@@ -512,6 +514,38 @@ class TestSubcommands:
         assert rep["n_plus_perturbed"] == 0
         assert rep["has_kernel"] is True
 
+    @pytest.mark.parametrize("k", ["0.9", "0.98", "0.1"])
+    def test_rs_index_near_singular_scale(self, k, capsys):
+        # at the default n = 4000 an eigenvalue of H within 0.07 of 0 once
+        # sent the index to a least-squares solve that did not converge
+        code, out, _ = run(["rs", "index", "--k", k], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        op = allencahn.cubic_operator(float(k))
+        ev = op.eigvals()
+        assert np.min(np.abs(ev)) > 1e-4  # every eigenvalue's sign is clear
+        assert rep["n_plus_H"] == np.count_nonzero(ev > 0.0)
+        direct = direct_inner(op)
+        assert abs(rep["inner"] - direct) <= 1e-9 * abs(direct)
+        assert rep["n_plus_perturbed"] == 0
+
+    def test_rs_index_rho_below_one(self, capsys):
+        argv = ["rs", "index", "--k", "0.5", "--n", "400"]
+        _, out_one, _ = run(argv, capsys)
+        code, out, _ = run(argv + ["--rho", "0.3"], capsys)
+        assert code == 0
+        one, below = json.loads(out_one), json.loads(out)
+        assert (one["n_plus_perturbed"], one["has_kernel"]) == (0, True)
+        # Sylvester: below rho = 1 the count is H's and there is no kernel
+        assert (below["n_plus_perturbed"], below["has_kernel"]) == (1, False)
+        assert below["inner"] == one["inner"]
+
+    def test_lemma_check_needs_two_x_points(self, capsys):
+        code, out, err = run(["continuum", "lemma-check", "--grid", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "two x points" in err
+
     def test_rs_family_csv(self, capsys):
         code, out, _ = run(
             ["rs", "family", "--k", "0.5", "--steps", "3", "--ds", "0.01"], capsys
@@ -668,6 +702,9 @@ class TestExitCodes:
             ["rs", "index", "--k", "0", "--n", "200"],
             ["rs", "family", "--k", "1", "--steps", "2"],
             ["rs", "index", "--n", "8"],
+            ["rs", "index", "--n", "200", "--rho", "0"],
+            ["rs", "index", "--n", "200", "--rho", " -0.5"],
+            ["rs", "index", "--n", "200", "--rho", "1.5"],
             ["rs", "family", "--steps", "0"],
             ["continuum", "lemma-check", "--grid", " -1"],
             ["continuum", "lemma-check", "--omega-samples", " -2"],
@@ -684,14 +721,27 @@ class TestExitCodes:
         assert err.startswith(("spectral-atlas: ", "usage: "))
 
 
+def test_in_domain_keeps_numeric_errors():
+    # LinAlgError derives from ValueError but is a numeric failure (exit 3)
+    def singular():
+        raise np.linalg.LinAlgError("singular matrix")
+
+    with pytest.raises(np.linalg.LinAlgError):
+        cli.in_domain(singular)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, spectral_atlas.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, spectral_atlas.cli; "
+        "print('scipy.optimize' in sys.modules, "
+        "any(m.split('.')[:2] == ['scipy', 'sparse'] for m in sys.modules))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 def readme_commands():
