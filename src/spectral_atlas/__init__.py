@@ -1,35 +1,30 @@
 """Spectral phase portraits of rank-one and rank-two matrix perturbations.
 
 Subpackage map:
-  kernel     - dense eigensolves, polynomial algebra, elliptic functions
+  kernel     - polynomial algebra and roots, resultants, elliptic functions
   lowrank    - the four-polynomial determinant decomposition
   curves     - constant-eigenvalue, envelope, Hopf and triple-point loci
   phase      - region classification over the (rho2, rho1) plane
-  integrator - line-attractor network models and gain analysis
+  integrator - line-attractor network models and stacked gain analysis
   continuum  - integral-coupled diffusion eigenbranches
-  allencahn  - nonlocal reaction-diffusion front stability
-  cli        - command line front end
+  allencahn  - nonlocal reaction-diffusion front stability; its tridiagonal
+               solvers are the only ones numpy lacks
+  cli        - command line front end; imports allencahn only for rs
 """
 
-from .kernel import Poly, Spectrum, eig_dense
+from .kernel import Poly
 from .lowrank import (
     AKDecomposition,
     LowRankProblem,
-    ak_value,
     decompose_cofactor,
-    decompose_spectral,
     perturbed_matrix,
 )
 
 __all__ = [
     "Poly",
-    "Spectrum",
-    "eig_dense",
     "AKDecomposition",
     "LowRankProblem",
-    "ak_value",
     "decompose_cofactor",
-    "decompose_spectral",
     "perturbed_matrix",
 ]
 

@@ -301,9 +301,9 @@ def stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
     half-line exactly when <1, H^{-1} 1> > 0, so the count drops by one then.
     Its other eigenvalues are those of H compressed to 1-perp, which
     interlace H's: the compression has N(mu) - [s(mu) < 0] eigenvalues below
-    mu, N(mu) being H's count.  has_kernel asks that it have none in (-t, t]
-    with t = 1e-3 top, and that the Newton estimate g(0)/g'(0) of the zero
-    eigenvalue lie within t of 0, where g(lam) = 1 - (h/2L) fp^T (H - lam)^{-1} 1
+    mu, N(mu) being H's count.  has_kernel asks that it have none in
+    (-tol, tol], and that the Newton estimate g(0)/g'(0) of the zero
+    eigenvalue lie within tol of 0, where g(lam) = 1 - (h/2L) fp^T (H - lam)^{-1} 1
     and g'(0) = -<1, H^{-1} 1>/2L.
 
     Counts are LAPACK bisection counts and each s a banded solve, so the
@@ -340,17 +340,16 @@ def stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
         raise IndeterminateIndexError(
             "<1, H^{-1} 1> is numerically zero; index not decided"
         )
-    t = 1e-3 * top
-    # eigenvalues of the compression in (-t, t], by interlacing; s(mu) has
-    # the sign of 1^T (H - mu)^{-1} 1
-    s_neg = [np.sum(op.solve(ones, mu)) < 0.0 for mu in (t, -t)]
-    others = op.count_eigvals(-t, t) - int(s_neg[0]) + int(s_neg[1])
+    # eigenvalues of the compression in (-tol, tol], by interlacing, where H
+    # has none (checked above); s(mu) has the sign of 1^T (H - mu)^{-1} 1
+    s_neg = [np.sum(op.solve(ones, mu)) < 0.0 for mu in (tol, -tol)]
+    others = int(s_neg[1]) - int(s_neg[0])
     g0 = 1.0 - op.h * (op.fp @ y) / (2.0 * op.L)
     return {
         "n_plus_H": n_plus_H,
         "inner": inner,
         "n_plus_perturbed": n_plus_H - (1 if inner > 0 else 0),
-        "has_kernel": bool(others == 0 and abs(2.0 * op.L * g0 / inner) < t),
+        "has_kernel": bool(others == 0 and abs(2.0 * op.L * g0 / inner) < tol),
     }
 
 

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import allencahn, continuum, curves, integrator, lowrank, phase, presets
+from . import continuum, curves, integrator, lowrank, phase, presets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,16 +32,16 @@ class ConfigError(Exception):
     """Bad command line arguments or malformed input files."""
 
 
+class NumericFailure(Exception):
+    """A numeric failure of the rs commands, whose module is imported lazily."""
+
+
 NUMERIC_ERRORS = (
-    lowrank.SingularResolventError,
+    NumericFailure,
     curves.DegenerateCurveError,
     curves.SymmetricDegeneracyError,
     integrator.DivergentGainError,
     continuum.ResonantFrequencyError,
-    allencahn.IndeterminateIndexError,
-    allencahn.PoleProximityError,
-    allencahn.TurningPointError,
-    allencahn.FamilyCorrectorError,
     np.linalg.LinAlgError,
     ZeroDivisionError,
     FloatingPointError,
@@ -83,16 +83,17 @@ def positive_int(text: str) -> int:
 
 
 def in_domain(call, *args, **kwargs):
-    """call(*args, **kwargs); its ValueError, an input check, is a ConfigError.
+    """call(*args, **kwargs); its plain ValueError, an input check, is a
+    ConfigError.
 
     The numeric failures that derive from ValueError (LinAlgError,
-    TurningPointError) stay numeric failures.
+    allencahn.TurningPointError) are subclasses of it and pass through.
     """
     try:
         return call(*args, **kwargs)
-    except NUMERIC_ERRORS:
-        raise
     except ValueError as e:
+        if type(e) is not ValueError:
+            raise
         raise ConfigError(str(e)) from None
 
 
@@ -384,10 +385,9 @@ def cmd_integrator(args) -> int:
     comment = f"dimensionless constant-eigenvalue curve lambda={args.lam}, parametrized by rho2"
     cols = [grid, r1]
     if args.mode == "gain":
-        # one eigensolve with left vectors per point: LAPACK has no batched form
         header += ",gain"
         comment = f"dimensionless gain along the lambda={args.lam} curve, parametrized by rho2"
-        cols.append([integrator.gain(prob, a, b, spec.b) for a, b in zip(r1, grid)])
+        cols.append(integrator.gain(prob, r1, grid, spec.b))
     emit(table_csv(header, comment, cols), args)
     return EXIT_OK
 
@@ -420,38 +420,51 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_rs(args) -> int:
-    if args.mode == "lambda1":
-        emit_json({"k": args.k, "lambda1": in_domain(allencahn.lambda1, args.k)}, args)
-        return EXIT_OK
-    if args.mode == "index":
-        # CubicFront.from_k and build_H_discrete check k and n,
-        # stability_index checks rho
-        op = in_domain(allencahn.cubic_operator, args.k, n=args.n)
-        rep = in_domain(allencahn.stability_index, op, rho=args.rho)
-        emit_json(
-            {
-                "k": args.k,
-                "lambda1": allencahn.lambda1(args.k),
-                "n_plus_H": int(rep["n_plus_H"]),
-                "inner": float(rep["inner"]),
-                "n_plus_perturbed": int(rep["n_plus_perturbed"]),
-                "has_kernel": bool(rep["has_kernel"]),
-            },
+    # allencahn is the one module whose solvers (tridiagonal bisection, banded
+    # solves) numpy lacks, and its import is most of a cold start; only the
+    # rs commands import it
+    from . import allencahn
+
+    try:
+        if args.mode == "lambda1":
+            emit_json({"k": args.k, "lambda1": in_domain(allencahn.lambda1, args.k)}, args)
+            return EXIT_OK
+        if args.mode == "index":
+            # CubicFront.from_k and build_H_discrete check k and n,
+            # stability_index checks rho
+            op = in_domain(allencahn.cubic_operator, args.k, n=args.n)
+            rep = in_domain(allencahn.stability_index, op, rho=args.rho)
+            emit_json(
+                {
+                    "k": args.k,
+                    "lambda1": allencahn.lambda1(args.k),
+                    "n_plus_H": int(rep["n_plus_H"]),
+                    "inner": float(rep["inner"]),
+                    "n_plus_perturbed": int(rep["n_plus_perturbed"]),
+                    "has_kernel": bool(rep["has_kernel"]),
+                },
+                args,
+            )
+            return EXIT_OK
+        # family: arclength trace of the stationary-solution family
+        front = in_domain(allencahn.CubicFront.from_k, args.k)
+        rows = allencahn.family_table(front, args.steps, args.ds)
+        emit(
+            table_csv(
+                "s,E,kappa,mu_minus,mu_plus,P,M,R,tau",
+                "stationary-family trace parametrized by arclength s (dimensionless)",
+                rows.T,
+            ),
             args,
         )
         return EXIT_OK
-    # family: arclength trace of the stationary-solution family
-    front = in_domain(allencahn.CubicFront.from_k, args.k)
-    rows = allencahn.family_table(front, args.steps, args.ds)
-    emit(
-        table_csv(
-            "s,E,kappa,mu_minus,mu_plus,P,M,R,tau",
-            "stationary-family trace parametrized by arclength s (dimensionless)",
-            rows.T,
-        ),
-        args,
-    )
-    return EXIT_OK
+    except (
+        allencahn.IndeterminateIndexError,
+        allencahn.PoleProximityError,
+        allencahn.TurningPointError,
+        allencahn.FamilyCorrectorError,
+    ) as e:
+        raise NumericFailure(e) from e
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import graph_rho1
-from .kernel import eig_dense
 from .lowrank import AKDecomposition, LowRankProblem, perturbed_matrix
 from . import presets as _presets
 
@@ -164,45 +163,53 @@ def constant_tau_rho1(
     return float(r1) if np.ndim(r1) == 0 else r1
 
 
-def gain(
-    p: LowRankProblem,
-    rho1: float,
-    rho2: float,
-    b,
-    separation: float = 1e-6,
-) -> float:
+# the dominant eigenvalue is simple when the next one's real part is further
+# than this, relative to max(1, |lambda1|), or the two are a conjugate pair
+SEPARATION = 1e-6
+
+
+def gain(p: LowRankProblem, rho1, rho2, b):
     """Predicted amplification of the slow mode for input pattern b.
 
-    gamma = <b,e1><f1,b> / (<f1,e1> ||b||^2) with e1/f1 the unit right/left
-    eigenvectors of the dominant (largest real part) eigenvalue.
+    gamma = <b,e1><f1,b> / (<f1,e1> ||b||^2) with e1/f1 the right/left
+    eigenvectors of the dominant (largest real part) eigenvalue, a ratio
+    that does not depend on how either vector is scaled.  Scalar rho's give
+    a float, arrays (broadcast together) an array.  One stacked eigensolve
+    gives the right eigenvectors V of every point, and one stacked inverse
+    the left ones, the rows of V^-1.  DivergentGainError names the first
+    point whose dominant eigenvalue is not simple, whose eigenvectors are
+    numerically orthogonal, or whose gain comes out complex.
     """
     b = np.asarray(b, float)
-    A = perturbed_matrix(p, rho1, rho2)
-    s = eig_dense(A, vectors=True)
-    order = np.argsort(-s.values.real)
-    i1 = order[0]
-    lam1 = s.values[i1]
-    if abs(s.values[order[1]].real - lam1.real) <= separation * max(1.0, abs(lam1)):
-        # dominant eigenvalue not separated; a complex pair may legitimately
-        # lead, in which case gain is defined through the pair's real part
-        if abs(np.conj(s.values[order[1]]) - lam1) > separation * max(1.0, abs(lam1)):
-            raise DivergentGainError("dominant eigenvalue is not simple")
-    e1 = s.right[:, i1]
-    f1 = s.left[:, i1]
-    e1 = e1 / np.linalg.norm(e1)
-    f1 = f1 / np.linalg.norm(f1)
-    inner = np.vdot(f1, e1)
-    if abs(inner) < 1e-10:
-        raise DivergentGainError(
-            "left and right dominant eigenvectors are orthogonal"
-        )
-    if inner.real < 0:
-        f1 = -f1
-        inner = -inner
-    g = (b @ e1) * (f1 @ b) / (inner * (b @ b))
-    if abs(g.imag) > 1e-8 * max(1.0, abs(g)):
-        raise DivergentGainError("gain came out complex; dominant mode is a pair")
-    return float(g.real)
+    rho1, rho2 = np.broadcast_arrays(np.asarray(rho1, float), np.asarray(rho2, float))
+    w, V = np.linalg.eig(perturbed_matrix(p, rho1.ravel(), rho2.ravel()))
+    pts = np.arange(len(w))
+    order = np.argsort(-w.real, axis=-1)
+    i1 = order[:, 0]
+    lam1, lam2 = w[pts, i1], w[pts, order[:, 1]]
+    e1 = V[pts, :, i1]
+    f1 = np.linalg.inv(V)[pts, i1, :]
+    inner = np.sum(f1 * e1, axis=-1)
+    g = (e1 @ b) * (f1 @ b) / (inner * (b @ b))
+    # a leading conjugate pair passes the separation test and fails the
+    # reality test of the gain, which names it
+    sep = SEPARATION * np.maximum(1.0, np.abs(lam1))
+    failed = np.array([
+        (np.abs(lam2.real - lam1.real) <= sep) & (np.abs(np.conj(lam2) - lam1) > sep),
+        np.abs(inner) < 1e-10 * np.linalg.norm(f1, axis=-1) * np.linalg.norm(e1, axis=-1),
+        np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g)),
+    ])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        k = bad[0]
+        why = (
+            "dominant eigenvalue is not simple",
+            "left and right dominant eigenvectors are orthogonal",
+            "gain came out complex; dominant mode is a pair",
+        )[np.argmax(failed[:, k])]
+        where = f"rho1 = {float(rho1.flat[k])!r}, rho2 = {float(rho2.flat[k])!r}"
+        raise DivergentGainError(f"{why} at {where}")
+    return float(g[0].real) if rho1.ndim == 0 else g.real.reshape(rho1.shape)
 
 
 def impulse_response(
@@ -226,7 +233,7 @@ def impulse_response(
     """
     b = np.asarray(b, float)
     A = perturbed_matrix(p, rho1, rho2)
-    rad = float(np.max(np.abs(eig_dense(A).values)))
+    rad = float(np.max(np.abs(np.linalg.eigvals(A))))
     cap = 0.1 / max(rad, 1e-300)
     if dt is None:
         dt = 0.5 * cap

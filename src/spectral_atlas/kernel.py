@@ -1,4 +1,4 @@
-"""Foundation numerics: dense eigensolves, polynomial algebra, elliptic functions.
+"""Foundation numerics: polynomial algebra, resultants, elliptic functions.
 
 Polynomials are stored as dense ascending coefficient vectors; degrees stay
 small (bounded by matrix dimension) so no sparse representation is needed.
@@ -10,41 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
-import scipy.linalg
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues plus (optionally) right and left/adjoint eigenvectors.
-
-    ``right[:, i]`` satisfies  A v = lambda v;  ``left[:, i]`` satisfies
-    A^T f = lambda f  (the adjoint eigenvector, possibly complex).
-    """
-
-    values: np.ndarray
-    right: np.ndarray | None = None
-    left: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def eig_dense(A, vectors: bool = False) -> Spectrum:
-    """Eigen-decomposition of a dense real matrix.
-
-    Backed by LAPACK's balanced Hessenberg + shifted-QR path (via scipy);
-    non-convergence surfaces as LinAlgError rather than being swallowed.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"eig_dense needs a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("eig_dense: non-finite entries")
-    if not vectors:
-        return Spectrum(scipy.linalg.eigvals(A))
-    w, vl, vr = scipy.linalg.eig(A, left=True, right=True)
-    # scipy returns vl with vl^H A = w vl^H; conjugate gives A^T f = w f
-    return Spectrum(w, right=vr, left=np.conj(vl))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +110,7 @@ def poly_roots(p: Poly) -> np.ndarray:
     C = np.zeros((n, n))
     C[1:, :-1] = np.eye(n - 1)
     C[:, -1] = -monic[:-1]
-    return eig_dense(C).values
+    return np.linalg.eigvals(C)
 
 
 def resultant(p: Poly, q: Poly) -> float:

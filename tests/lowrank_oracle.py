@@ -1,0 +1,103 @@
+"""Oracles for the low-rank tests that the library itself does not use.
+
+decompose_spectral builds the four polynomials from the eigenbasis of a
+symmetric base matrix, and ak_value evaluates the eigenvalue condition in
+resolvent form by an LU solve.  Neither goes through the determinant
+interpolation with which lowrank.decompose_cofactor builds them.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from spectral_atlas.kernel import Poly
+from spectral_atlas.lowrank import AKDecomposition, LowRankProblem, vectors_parallel
+
+
+class SingularResolventError(ValueError):
+    """lambda hits the spectrum of the base matrix within tolerance."""
+
+
+def decompose_spectral(
+    p: LowRankProblem, sym_tol: float = 1e-10, parallel_tol: float = 1e-10
+) -> AKDecomposition:
+    """Decomposition through the eigenbasis of a self-adjoint base matrix.
+
+    P_i(lambda) = sum_j <f_i, phi_j><g_i, phi_j> prod_{l != j} (lambda_l - lambda)
+    and Q is the corresponding antisymmetrized double sum.
+    """
+    M = p.M
+    if np.linalg.norm(M - M.T, np.inf) > sym_tol * max(1.0, np.linalg.norm(M, np.inf)):
+        raise ValueError("decompose_spectral requires a symmetric base matrix")
+    n = p.n
+    lam, V = np.linalg.eigh(M)
+    sign_full = (-1.0) ** n
+
+    # prod_j (lambda_j - x) = (-1)^n prod_j (x - lambda_j)
+    D = sign_full * Poly.from_roots(lam)
+
+    def excl(idx):
+        keep = [lam[j] for j in range(n) if j not in idx]
+        return Poly.from_roots(keep)
+
+    a1 = V.T @ p.f1
+    b1 = V.T @ p.g1
+    P1 = Poly.zero()
+    sign1 = (-1.0) ** (n - 1)
+    for j in range(n):
+        w = a1[j] * b1[j]
+        if w != 0.0:
+            P1 = P1 + (sign1 * w) * excl({j})
+
+    if p.rank == 1:
+        return AKDecomposition(D, P1, Poly.zero(), Poly.zero())
+
+    a2 = V.T @ p.f2
+    b2 = V.T @ p.g2
+    P2 = Poly.zero()
+    for j in range(n):
+        w = a2[j] * b2[j]
+        if w != 0.0:
+            P2 = P2 + (sign1 * w) * excl({j})
+
+    Q = Poly.zero()
+    if not (
+        vectors_parallel(p.g1, p.g2, parallel_tol)
+        or vectors_parallel(p.f1, p.f2, parallel_tol)
+    ):
+        sign2 = (-1.0) ** (n - 2)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                w = a1[i] * b1[i] * a2[j] * b2[j] - a1[i] * b2[i] * a2[j] * b1[j]
+                if w != 0.0:
+                    Q = Q + (sign2 * w) * excl({i, j})
+    return AKDecomposition(D, P1, P2, Q)
+
+
+def ak_value(
+    p: LowRankProblem, rho1: float, rho2: float, lam: complex, cond_cap: float = 1e12
+):
+    """Resolvent form of the eigenvalue condition.
+
+    Returns 1 + rho1 <g1,R f1> + rho2 <g2,R f2>
+              + rho1 rho2 (<g1,R f1><g2,R f2> - <g1,R f2><g2,R f1>)
+    with R = (M - lambda I)^{-1}; zero exactly when lambda is an eigenvalue
+    of the perturbed matrix (for lambda outside spec(M)).
+    """
+    A = p.M - lam * np.eye(p.n)
+    if np.linalg.cond(A) > cond_cap:
+        raise SingularResolventError(
+            f"lambda={lam} is within tolerance of spec(M); resolvent is singular"
+        )
+    lu = scipy.linalg.lu_factor(A)
+    x1 = scipy.linalg.lu_solve(lu, p.f1)
+    r11 = np.dot(p.g1, x1)
+    out = 1.0 + rho1 * r11
+    if p.f2 is not None:
+        x2 = scipy.linalg.lu_solve(lu, p.f2)
+        r22 = np.dot(p.g2, x2)
+        r12 = np.dot(p.g1, x2)
+        r21 = np.dot(p.g2, x1)
+        out = out + rho2 * r22 + rho1 * rho2 * (r11 * r22 - r12 * r21)
+    return out

@@ -384,6 +384,15 @@ class TestStabilityIndex:
             assert idx["n_plus_perturbed"] == np.count_nonzero(ev.real > 1e-6)
             assert idx["has_kernel"] == (np.count_nonzero(np.abs(ev) < 1e-6) == 1)
 
+    @pytest.mark.parametrize("k", [0.005, 0.01, 0.015])
+    def test_kernel_at_small_modulus(self, k):
+        # the odd Lame eigenvalue -3k^2 lies close to 0 here; the rho = 1
+        # operator still has one simple eigenvalue at 0
+        ev = np.linalg.eigvals(cubic_operator(k, n=300).perturbed_matrix(1.0))
+        assert np.count_nonzero(np.abs(ev) < 1e-6) == 1
+        for n in (300, 4000):
+            assert stability_index(cubic_operator(k, n=n))["has_kernel"]
+
     @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5])
     def test_rho_outside_domain(self, op_half, rho):
         with pytest.raises(ValueError):

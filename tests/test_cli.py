@@ -649,6 +649,25 @@ class TestExitCodes:
         assert "|P - P0|" in err
 
     @pytest.mark.parametrize(
+        "error",
+        [
+            allencahn.IndeterminateIndexError,
+            allencahn.PoleProximityError,
+            allencahn.TurningPointError,
+            allencahn.FamilyCorrectorError,
+        ],
+    )
+    def test_every_rs_numeric_error_is_3(self, error, capsys, monkeypatch):
+        def fails(*args, **kwargs):
+            raise error("planted failure")
+
+        monkeypatch.setattr(allencahn, "stability_index", fails)
+        code, out, err = run(["rs", "index", "--n", "200"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "spectral-atlas: numeric failure: planted failure\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["envelope", "--preset", "example1", "--lambda-range", " nan:1:5"],
@@ -731,17 +750,19 @@ def test_in_domain_keeps_numeric_errors():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
+    # only the rs commands need scipy, and they import it when they run
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, spectral_atlas.cli; "
         "print('scipy.optimize' in sys.modules, "
-        "any(m.split('.')[:2] == ['scipy', 'sparse'] for m in sys.modules))"
+        "any(m.split('.')[:2] == ['scipy', 'sparse'] for m in sys.modules), "
+        "sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False False\n"
+    assert done.stdout == "False False []\n"
 
 
 def readme_commands():

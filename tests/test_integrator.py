@@ -17,7 +17,6 @@ from spectral_atlas.integrator import (
     measured_gain,
     preset_spec,
 )
-from spectral_atlas.kernel import eig_dense
 from spectral_atlas.lowrank import decompose_cofactor, perturbed_matrix
 from spectral_atlas.presets import example1
 
@@ -60,7 +59,7 @@ class TestBuildT:
 class TestBuildNetwork:
     def test_unperturbed_spectrum(self, normal):
         # block triangular: spec(alpha T) plus the double Purkinje rate
-        ev = np.sort(eig_dense(normal.M).values.real)
+        ev = np.sort(np.linalg.eigvals(normal.M).real)
         T, _ = build_T(6, 200.0, 5.0)
         expect = np.sort(np.concatenate([np.linalg.eigvalsh(200.0 * T), [-200.0, -200.0]]))
         assert np.allclose(ev, expect, atol=1e-8)
@@ -105,7 +104,7 @@ class TestConstantTau:
     def test_eigenvalue_held(self, normal, normal_dec):
         for r2 in np.linspace(0.0, 1.2, 7):
             r1 = constant_tau_rho1(normal_dec, LAM, r2, problem=normal)
-            ev = eig_dense(perturbed_matrix(normal, r1, r2)).values
+            ev = np.linalg.eigvals(perturbed_matrix(normal, r1, r2))
             assert np.min(np.abs(ev - LAM)) < 1e-6
 
     def test_tangency_first_quadrant(self, normal_dec):
@@ -224,6 +223,76 @@ class TestGain:
         assert abs(pole - 1.22) < 0.01
 
 
+def old_gain(p, rho1, rho2, b, separation=1e-6):
+    """gain as it was computed point by point, one eigensolve with left
+    eigenvectors from LAPACK each, unit vectors and the conjugated inner
+    product."""
+    b = np.asarray(b, float)
+    A = perturbed_matrix(p, rho1, rho2)
+    values, vl, vr = scipy.linalg.eig(A, left=True, right=True)
+    left = np.conj(vl)
+    order = np.argsort(-values.real)
+    i1 = order[0]
+    lam1 = values[i1]
+    if abs(values[order[1]].real - lam1.real) <= separation * max(1.0, abs(lam1)):
+        if abs(np.conj(values[order[1]]) - lam1) > separation * max(1.0, abs(lam1)):
+            raise DivergentGainError("dominant eigenvalue is not simple")
+    e1 = vr[:, i1]
+    f1 = left[:, i1]
+    e1 = e1 / np.linalg.norm(e1)
+    f1 = f1 / np.linalg.norm(f1)
+    inner = np.vdot(f1, e1)
+    if abs(inner) < 1e-10:
+        raise DivergentGainError("left and right dominant eigenvectors are orthogonal")
+    if inner.real < 0:
+        f1 = -f1
+        inner = -inner
+    g = (b @ e1) * (f1 @ b) / (inner * (b @ b))
+    if abs(g.imag) > 1e-8 * max(1.0, abs(g)):
+        raise DivergentGainError("gain came out complex; dominant mode is a pair")
+    return float(g.real)
+
+
+class TestGainStacked:
+    @pytest.mark.parametrize("lam", [-0.05, -0.1, -0.2, -0.5, -1.0])
+    @pytest.mark.parametrize("hi", [1.15, 1.2])
+    def test_equals_point_calls(self, normal, normal_dec, lam, hi):
+        grid = np.linspace(0.0, hi, 40)
+        r1 = constant_tau_rho1(normal_dec, lam, grid, normal)
+        g = gain(normal, r1, grid, B6)
+        assert isinstance(g, np.ndarray) and g.shape == grid.shape
+        ref = np.array([old_gain(normal, a, c, B6) for a, c in zip(r1, grid)])
+        assert np.max(np.abs(g - ref) / np.abs(ref)) <= 1e-12
+        points = [gain(normal, a, c, B6) for a, c in zip(r1, grid)]
+        assert all(type(v) is float for v in points)
+        assert np.max(np.abs(np.array(points) - ref) / np.abs(ref)) <= 1e-12
+
+    def test_broadcast_shape(self, normal, normal_dec):
+        grid = np.linspace(0.0, 1.1, 6)
+        r1 = constant_tau_rho1(normal_dec, LAM, grid, normal)
+        g = gain(normal, r1.reshape(2, 3), grid.reshape(2, 3), B6)
+        assert g.shape == (2, 3)
+        assert g.ravel().tolist() == gain(normal, r1, grid, B6).tolist()
+
+    def test_first_failing_point_named(self):
+        # ag_in's operating curve reaches a leading complex pair; the stacked
+        # call fails at the point where the point-by-point loop first failed
+        prob = build_network(preset="ag_in")
+        grid = np.linspace(0.0, 1.2, 60)
+        r1 = constant_tau_rho1(decompose_cofactor(prob), LAM, grid, prob)
+        first = None
+        for a, c in zip(r1, grid):
+            try:
+                old_gain(prob, a, c, B6)
+            except DivergentGainError:
+                first = c
+                break
+        assert first is not None
+        with pytest.raises(DivergentGainError, match="dominant mode is a pair") as err:
+            gain(prob, r1, grid, B6)
+        assert f"rho2 = {float(first)!r}" in str(err.value)
+
+
 class TestImpulse:
     def test_decay_from_rest_coupling(self, normal):
         t, resp = impulse_response(normal, 0.0, 0.0, B6, t_end=1.0)
@@ -276,7 +345,7 @@ def old_impulse_response(p, rho1, rho2, b, t_end, dt=None):
     """The stepwise RK4 loop impulse_response replaced: one R @ v per step."""
     b = np.asarray(b, float)
     A = perturbed_matrix(p, rho1, rho2)
-    rad = float(np.max(np.abs(eig_dense(A).values)))
+    rad = float(np.max(np.abs(np.linalg.eigvals(A))))
     cap = 0.1 / max(rad, 1e-300)
     if dt is None:
         dt = 0.5 * cap
@@ -322,7 +391,7 @@ class TestImpulsePanels:
         assert np.all(np.abs(resp - old) <= 1e-11 * scale)
 
     def test_explicit_dt_and_cap(self, normal):
-        cap = 0.1 / np.max(np.abs(eig_dense(perturbed_matrix(normal, 0.5, 0.5)).values))
+        cap = 0.1 / np.max(np.abs(np.linalg.eigvals(perturbed_matrix(normal, 0.5, 0.5))))
         for dt in (0.5 * cap, cap):
             t_old, old = old_impulse_response(normal, 0.5, 0.5, B6, 0.3, dt=dt)
             t, resp = impulse_response(normal, 0.5, 0.5, B6, 0.3, dt=dt)
@@ -360,13 +429,13 @@ class TestMiswiredPreset:
 
         def pair_real(r2):
             r1 = constant_tau_rho1(dec, LAM, r2)
-            ev = eig_dense(perturbed_matrix(p, r1, r2)).values
+            ev = np.linalg.eigvals(perturbed_matrix(p, r1, r2))
             ev = ev[np.abs(ev.imag) > 1e-8]
             return float(np.max(ev.real))
 
         r2c = brentq(pair_real, 0.45, 0.5)
         r1c = constant_tau_rho1(dec, LAM, r2c)
-        ev = eig_dense(perturbed_matrix(p, r1c, r2c)).values
+        ev = np.linalg.eigvals(perturbed_matrix(p, r1c, r2c))
         pair = ev[np.abs(ev.imag) > 1e-6]
         om = abs(pair[np.argmax(pair.real)].imag)
 

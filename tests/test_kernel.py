@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from spectral_atlas.kernel import (
     Poly,
-    Spectrum,
-    eig_dense,
     elliptic_K_E,
     jacobi_sn_cn_dn,
     poly_roots,
@@ -15,36 +13,6 @@ from spectral_atlas.kernel import (
     poly_wronskian3,
     resultant,
 )
-
-
-class TestEigDense:
-    def test_diagonal(self):
-        s = eig_dense(np.diag([1.0, -2.0, 3.0]))
-        assert np.allclose(sorted(s.values.real), [-2, 1, 3])
-        assert np.allclose(s.values.imag, 0)
-
-    def test_complex_pair(self):
-        s = eig_dense([[0.0, -1.0], [1.0, 0.0]])
-        assert np.allclose(sorted(s.values.imag), [-1, 1])
-
-    def test_right_left_vectors(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((5, 5))
-        s = eig_dense(A, vectors=True)
-        for i in range(5):
-            assert np.allclose(A @ s.right[:, i], s.values[i] * s.right[:, i], atol=1e-10)
-            assert np.allclose(A.T @ s.left[:, i], s.values[i] * s.left[:, i], atol=1e-10)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            eig_dense(np.zeros((2, 3)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            eig_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_len(self):
-        assert len(eig_dense(np.eye(3))) == 3
 
 
 class TestPoly:
