@@ -1,10 +1,10 @@
 """Spectral phase portraits of rank-one and rank-two matrix perturbations.
 
 Subpackage map:
-  kernel     - polynomial algebra and roots, resultants, elliptic functions
+  kernel     - polynomial algebra and roots, elliptic functions
   lowrank    - the four-polynomial determinant decomposition
   curves     - constant-eigenvalue, envelope, Hopf and triple-point loci
-  phase      - region classification over the (rho2, rho1) plane
+  phase      - region classification over the (rho1, rho2) plane
   integrator - line-attractor network models and stacked gain analysis
   continuum  - integral-coupled diffusion eigenbranches
   allencahn  - nonlocal reaction-diffusion front stability; its tridiagonal

@@ -87,65 +87,9 @@ class CubicFront:
         return (1.0 + self.k**2) - 6.0 * self.k**2 * u**2
 
 
-def lame_spectrum(k: float):
-    """The five explicit top eigenpairs of H = d_xx + (1+k^2) - 6 k^2 sn^2.
-
-    Returns (eigenvalue, eigenfunction, bc) triples ordered by decreasing
-    eigenvalue; bc records whether the mode satisfies a Neumann or a
-    Dirichlet condition at +-K(k).
-    """
-    if not 0.0 < k < 1.0:
-        raise ValueError("elliptic modulus must lie in (0,1)")
-    a = a_of_k(k)
-    k2 = k * k
-
-    def sn2_shift(shift):
-        def phi(x):
-            sn, _, _ = jacobi_sn_cn_dn(np.asarray(x, float), k)
-            return k2 * sn**2 - shift
-        return phi
-
-    def cn_dn(x):
-        _, cn, dn = jacobi_sn_cn_dn(np.asarray(x, float), k)
-        return cn * dn
-
-    def sn_dn(x):
-        sn, _, dn = jacobi_sn_cn_dn(np.asarray(x, float), k)
-        return sn * dn
-
-    def cn_sn(x):
-        sn, cn, _ = jacobi_sn_cn_dn(np.asarray(x, float), k)
-        return cn * sn
-
-    return [
-        (-(1.0 + k2 - 2.0 * a), sn2_shift((1.0 + k2 + a) / 3.0), "N"),
-        (0.0, cn_dn, "D"),
-        (-3.0 * k2, sn_dn, "N"),
-        (-3.0, cn_sn, "D"),
-        (-(1.0 + k2 + 2.0 * a), sn2_shift((1.0 + k2 - a) / 3.0), "N"),
-    ]
-
-
-def restricted_matrix(k: float):
-    """Perturbed operator restricted to span{1, sn^2} (the even Neumann pair).
-
-    Returns (2x2 matrix, eigenvalues); the eigenvalues are exactly
-    {0, lambda1(k)}: the zero comes from mass conservation along the family
-    of stationary profiles.
-    """
-    fr = CubicFront.from_k(k)
-    K, E, k2 = fr.K, fr.E, k * k
-    M = np.array(
-        [
-            [6.0 * (K - E) / K, 3.0 * (1.0 + k2) * (K - E) / (k2 * K)],
-            [-6.0 * k2, -3.0 * (1.0 + k2)],
-        ]
-    )
-    return M, np.linalg.eigvals(M)
-
-
 def lambda1(k: float) -> float:
-    """((3-3k^2)K - 6E)/K: the nonzero eigenvalue of the restricted pair.
+    """((3-3k^2)K - 6E)/K: the nonzero eigenvalue of the perturbed operator
+    restricted to span{1, sn^2}, the even Neumann pair.
 
     Strictly negative on [0,1): the front is spectrally stable against
     mass-conserving perturbations.

@@ -41,7 +41,6 @@ NUMERIC_ERRORS = (
     curves.DegenerateCurveError,
     curves.SymmetricDegeneracyError,
     integrator.DivergentGainError,
-    continuum.ResonantFrequencyError,
     np.linalg.LinAlgError,
     ZeroDivisionError,
     FloatingPointError,
@@ -396,7 +395,7 @@ def cmd_continuum(args) -> int:
     spec = continuum.ContinuumSpec(N=args.cells)
     if args.mode == "envelope":
         grid = parse_range(args.omega_range, "--omega-range")
-        br = continuum.continuum_envelope(spec, grid, args.branch)
+        br = in_domain(continuum.continuum_envelope, spec, grid, args.branch)
         emit_branches([br], "omega", args)
         return EXIT_OK
     # lemma-check: sign of the tangency-point ratio over the (omega, x1 < x2) grid

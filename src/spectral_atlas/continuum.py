@@ -25,10 +25,6 @@ from .curves import CurveBranch, grid_branch
 from .integrator import beta_for
 
 
-class ResonantFrequencyError(ValueError):
-    """omega hits the unperturbed Dirichlet spectrum; the pieces degenerate."""
-
-
 @dataclass(frozen=True)
 class ContinuumSpec:
     N: int = 12
@@ -63,177 +59,53 @@ class BranchParam:
             raise ValueError("omega must be positive")
 
 
-def branch_lambda(bp: BranchParam, spec: ContinuumSpec) -> float:
-    beta, dx = spec.beta, spec.dx
-    s = -1.0 if bp.branch == "trig" else 1.0
-    return -1.0 + 3.0 * beta + s * beta * dx**2 * bp.omega**2
-
-
 # ---------------------------------------------------------------------------
 # closed-form cell response
+#
+# The response of a cell coupled at x is P(omega, x) = n(omega, x) / S(omega).
+# The direct trig forms sin(omega L) - sin(omega x) - sin(omega (L-x)) and
+# beta^2 dx^3 omega^2 (3 - dx^2 omega^2) sin(omega L), and their sinh
+# analogues, share the factor 2 s(omega L/2).  With it divided out,
+#
+#     n = -2 s(omega x/2) s(omega (L-x)/2)
+#     S = beta^2 dx^3 omega^2 (3 -+ dx^2 omega^2) c(omega L/2)
+#
+# where s and c are sin and cos on the trig branch (upper sign) and sinh
+# and cosh on the hyper one.  The quotient has no 0/0 at omega L = 2 m pi
+# and no cancellation at small omega.  The helpers take the branch name and
+# omega, a scalar or an array.
 
 
-# The helpers below take the branch name and omega, a scalar or an array.
-
-
-def _denom(spec: ContinuumSpec, branch: str, om):
-    """Shared denominator of the cell response: beta^2 dx^3 w^2 (3 -+ dx^2 w^2) sin(h) w."""
-    beta, dx = spec.beta, spec.dx
-    if branch == "trig":
-        return beta**2 * dx**3 * om**2 * (3.0 - dx**2 * om**2) * np.sin(om * spec.L)
-    return beta**2 * dx**3 * om**2 * (3.0 + dx**2 * om**2) * np.sinh(om * spec.L)
+def _branch_functions(branch: str):
+    """(s, c, sign): sin, cos, -1 on the trig branch; sinh, cosh, +1 on hyper."""
+    return (np.sin, np.cos, -1.0) if branch == "trig" else (np.sinh, np.cosh, 1.0)
 
 
 def _numer(spec: ContinuumSpec, branch: str, om, x: float):
-    L = spec.L
-    if branch == "trig":
-        return np.sin(om * L) - np.sin(om * x) - np.sin(om * (L - x))
-    return np.sinh(om * x) + np.sinh(om * (L - x)) - np.sinh(om * L)
+    s, _, _ = _branch_functions(branch)
+    return -2.0 * s(0.5 * om * x) * s(0.5 * om * (spec.L - x))
 
 
 def _numer_domega(spec: ContinuumSpec, branch: str, om, x: float):
-    L = spec.L
-    if branch == "trig":
-        return (
-            L * np.cos(om * L) - x * np.cos(om * x) - (L - x) * np.cos(om * (L - x))
-        )
-    return x * np.cosh(om * x) + (L - x) * np.cosh(om * (L - x)) - L * np.cosh(om * L)
+    s, c, _ = _branch_functions(branch)
+    a, b = 0.5 * om * x, 0.5 * om * (spec.L - x)
+    return -(x * c(a) * s(b) + (spec.L - x) * s(a) * c(b))
+
+
+def _denom(spec: ContinuumSpec, branch: str, om):
+    _, c, sign = _branch_functions(branch)
+    beta, dx = spec.beta, spec.dx
+    return beta**2 * dx**3 * om**2 * (3.0 + sign * dx**2 * om**2) * c(0.5 * om * spec.L)
 
 
 def _denom_domega(spec: ContinuumSpec, branch: str, om):
-    beta, dx, L = spec.beta, spec.dx, spec.L
-    C = beta**2 * dx**3
-    if branch == "trig":
-        return C * (
-            (6.0 * om - 4.0 * dx**2 * om**3) * np.sin(om * L)
-            + (3.0 * om**2 - dx**2 * om**4) * L * np.cos(om * L)
-        )
-    return C * (
-        (6.0 * om + 4.0 * dx**2 * om**3) * np.sinh(om * L)
-        + (3.0 * om**2 + dx**2 * om**4) * L * np.cosh(om * L)
+    s, c, sign = _branch_functions(branch)
+    beta, dx, h = spec.beta, spec.dx, 0.5 * om * spec.L
+    # c'(h) is -sin(h) on the trig branch and +sinh(h) on the hyper one
+    return beta**2 * dx**3 * (
+        (6.0 * om + sign * 4.0 * dx**2 * om**3) * c(h)
+        + (3.0 * om**2 + sign * dx**2 * om**4) * 0.5 * spec.L * sign * s(h)
     )
-
-
-def cell_response(spec: ContinuumSpec, bp: BranchParam, x: float) -> float:
-    """P(omega, x): the scalar feedback response of a cell coupled at x."""
-    den = _denom(spec, bp.branch, bp.omega)
-    if abs(den) < 1e-300:
-        raise ResonantFrequencyError(f"omega={bp.omega} is resonant")
-    return _numer(spec, bp.branch, bp.omega, x) / den
-
-
-def eigencondition_closed(
-    spec: ContinuumSpec, bp: BranchParam, rho1: float, rho2: float
-) -> float:
-    return (
-        1.0
-        + rho1 * cell_response(spec, bp, spec.x1)
-        + rho2 * cell_response(spec, bp, spec.x2)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Green's-function route (dual to the closed form)
-
-
-def _pieces(spec: ContinuumSpec, bp: BranchParam):
-    om, L = bp.omega, spec.L
-    if bp.branch == "trig":
-        s, c = np.sin, np.cos
-    else:
-        s, c = np.sinh, np.cosh
-    return om, L, s, c
-
-
-def greens_coefficients(
-    spec: ContinuumSpec, bp: BranchParam, rho1: float, rho2: float
-):
-    """Piecewise eigenfunction coefficients (A, B, C, D) and the BVP residual.
-
-    The eigenfunction is A s(omega x) on (0,x1), B s(omega x) + C c(omega x)
-    on (x1,x2) and D s(omega (L-x)) on (x2,L), with s/c = sin/cos (trig) or
-    sinh/cosh (hyper); continuity at x1, x2 plus the feedback derivative
-    jumps rho_i / (beta dx^3 (lambda+1)) close the 4x4 system (this fixes
-    the normalization <1, psi> = -1 at an eigen-triple).
-    """
-    om, L, s, c = _pieces(spec, bp)
-    x1, x2 = spec.x1, spec.x2
-    beta, dx = spec.beta, spec.dx
-    lam1 = branch_lambda(bp, spec) + 1.0  # = beta (3 -+ dx^2 om^2)
-    j1 = rho1 / (beta * dx**3 * lam1)
-    j2 = rho2 / (beta * dx**3 * lam1)
-    # rows: continuity x1, continuity x2, jump x1, jump x2
-    M = np.array(
-        [
-            [s(om * x1), -s(om * x1), -c(om * x1), 0.0],
-            [0.0, s(om * x2), c(om * x2), -s(om * (L - x2))],
-            [
-                -om * c(om * x1),
-                om * c(om * x1),
-                om * _cprime(bp, om * x1),
-                0.0,
-            ],
-            [
-                0.0,
-                -om * c(om * x2),
-                -om * _cprime(bp, om * x2),
-                -om * c(om * (L - x2)),
-            ],
-        ]
-    )
-    rhs = np.array([0.0, 0.0, j1, j2])
-    # resonance test scaled by the Hadamard bound so that the large entries
-    # of the hyperbolic pieces do not trigger false positives
-    hadamard = np.prod(np.linalg.norm(M, axis=1))
-    if abs(np.linalg.det(M)) < 1e-12 * hadamard:
-        raise ResonantFrequencyError(
-            f"omega={bp.omega} makes the matching system singular"
-        )
-    w = np.linalg.solve(M, rhs)
-    residual = float(np.max(np.abs(M @ w - rhs)))
-    return w, residual
-
-
-def _cprime(bp: BranchParam, arg: float) -> float:
-    # d/darg of the cosine-like piece: -sin (trig) or +sinh (hyper)
-    return -np.sin(arg) if bp.branch == "trig" else np.sinh(arg)
-
-
-def gvector(spec: ContinuumSpec, bp: BranchParam) -> np.ndarray:
-    """Integrals of the three pieces against the constant-1 density."""
-    om, L, s, c = _pieces(spec, bp)
-    x1, x2 = spec.x1, spec.x2
-    if bp.branch == "trig":
-        return (
-            np.array(
-                [
-                    1.0 - np.cos(om * x1),
-                    np.cos(om * x1) - np.cos(om * x2),
-                    np.sin(om * x2) - np.sin(om * x1),
-                    1.0 - np.cos(om * (L - x2)),
-                ]
-            )
-            / om
-        )
-    return (
-        np.array(
-            [
-                np.cosh(om * x1) - 1.0,
-                np.cosh(om * x2) - np.cosh(om * x1),
-                np.sinh(om * x2) - np.sinh(om * x1),
-                np.cosh(om * (L - x2)) - 1.0,
-            ]
-        )
-        / om
-    )
-
-
-def eigencondition(
-    spec: ContinuumSpec, bp: BranchParam, rho1: float, rho2: float
-) -> float:
-    """1 + <1, psi> assembled from the Green's pieces; zero at eigen-triples."""
-    w, _ = greens_coefficients(spec, bp, rho1, rho2)
-    return float(1.0 + gvector(spec, bp) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +121,10 @@ def _envelope(spec: ContinuumSpec, branch: str, om):
     with LambdaN = N1 ^ N2 = N1 N2' - N1' N2 (the asymptote locus is
     LambdaN = 0, where rho is inf or nan).
     """
-    if np.size(om):
-        BranchParam(float(np.min(om)), branch)  # validates branch and omega > 0
+    if branch not in ("trig", "hyper"):
+        raise ValueError(f"unknown branch {branch!r}")
+    if np.size(om) and not np.min(om) > 0.0:
+        raise ValueError("omega must be positive")
     n1, n2 = _numer(spec, branch, om, spec.x1), _numer(spec, branch, om, spec.x2)
     d1, d2 = _numer_domega(spec, branch, om, spec.x1), _numer_domega(spec, branch, om, spec.x2)
     S, Sp = _denom(spec, branch, om), _denom_domega(spec, branch, om)
@@ -269,19 +143,30 @@ def envelope_rho(spec: ContinuumSpec, bp: BranchParam):
     return float(r1), float(r2)
 
 
+# envelope_asymptotes brackets sign changes of N1 ^ N2 on this many samples
+# and bisects each to this relative width
+ASYMPTOTE_SAMPLES = 4000
+ASYMPTOTE_TOL = 1e-12
+
+
 def envelope_asymptotes(
-    spec: ContinuumSpec, omega_window: tuple[float, float], branch: str = "trig",
-    samples: int = 4000, tol: float = 1e-12,
+    spec: ContinuumSpec, omega_window: tuple[float, float], branch: str = "trig"
 ) -> list[float]:
-    """omegas where the envelope diverges: bracketed zeros of N1 N2' - N1' N2."""
+    """omegas where the envelope diverges: bracketed zeros of N1 N2' - N1' N2.
+
+    A simple zero is bisected to ASYMPTOTE_TOL.  Where N1 and N2 both vanish
+    to second order (at 12 pi for the default coupling points) N1 ^ N2 has a
+    zero of order five, whose sign rounding decides within about 1e-4 of it;
+    the bisection ends somewhere in that band.
+    """
     lo, hi = omega_window
-    oms = np.linspace(lo, hi, samples)
+    oms = np.linspace(lo, hi, ASYMPTOTE_SAMPLES)
     vals = _envelope(spec, branch, oms)[2]
     out = []
     for i in np.flatnonzero((np.sign(vals[:-1]) != np.sign(vals[1:])) & (vals[:-1] != 0.0)):
         a, b = oms[i], oms[i + 1]
         fa = vals[i]
-        while b - a > tol * max(1.0, abs(a)):
+        while b - a > ASYMPTOTE_TOL * max(1.0, abs(a)):
             m = 0.5 * (a + b)
             fm = _envelope(spec, branch, m)[2]
             if np.sign(fm) == np.sign(fa):

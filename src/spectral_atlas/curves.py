@@ -39,11 +39,6 @@ class CurveBranch:
     points: list[CurvePoint] = field(default_factory=list)
     gaps: list[tuple[float, float]] = field(default_factory=list)
 
-    def rho_arrays(self):
-        r1 = np.array([p.rho1 for p in self.points])
-        r2 = np.array([p.rho2 for p in self.points])
-        return r1, r2
-
 
 def branches_to_csv(branches: list[CurveBranch]) -> str:
     """Serialize curve branches to CSV: kind,branch,parameter,rho1,rho2.
@@ -113,7 +108,12 @@ def _real_quadratic_roots(A, B, C, tol):
     return r, count, degenerate
 
 
-def _solve_rows(a, b, tol: float = 1e-12):
+# relative size below which a row coefficient, a determinant or a quadratic
+# coefficient of the bilinear row solver counts as zero
+ROW_TOL = 1e-12
+
+
+def _solve_rows(a, b):
     """Real solutions of the bilinear row pairs a[i], b[i], for (k, 4) arrays.
 
     Row (c0, c1, c2, c3) encodes c0 + c1 rho1 + c2 rho2 + c3 rho1 rho2 = 0.
@@ -126,7 +126,7 @@ def _solve_rows(a, b, tol: float = 1e-12):
     a0, a1, a2, a3 = a.T
     b0, b1, b2, b3 = b.T
     scale = np.maximum(np.maximum(np.max(np.abs(a), axis=1), np.max(np.abs(b), axis=1)), 1.0)
-    tol2 = tol * scale**2
+    tol2 = ROW_TOL * scale**2
 
     # combination e0 + e1 rho1 + e2 rho2 = 0 with no bilinear term: it gives
     # one unknown u in terms of the other, w, which solves a quadratic
@@ -144,7 +144,7 @@ def _solve_rows(a, b, tol: float = 1e-12):
     degenerate |= (np.abs(e1) <= tol2) & (np.abs(e2) <= tol2)
 
     # rows without the bilinear term are a 2x2 linear system
-    rows = np.flatnonzero((np.abs(a3) <= tol * scale) & (np.abs(b3) <= tol * scale))
+    rows = np.flatnonzero((np.abs(a3) <= ROW_TOL * scale) & (np.abs(b3) <= ROW_TOL * scale))
     A = np.stack([a[rows, 1:3], b[rows, 1:3]], axis=1)
     ok = np.abs(np.linalg.det(A)) > tol2[rows]
     x = np.linalg.solve(A[ok], -np.stack([a0, b0], 1)[rows[ok], :, None])
@@ -156,7 +156,7 @@ def _solve_rows(a, b, tol: float = 1e-12):
     return np.where(swap[:, None, None], sol[:, ::-1], sol), count, degenerate
 
 
-def solve_bilinear_rows(a, b, tol: float = 1e-12):
+def solve_bilinear_rows(a, b):
     """Real solutions of two bilinear equations in (rho1, rho2).
 
     Each row (c0, c1, c2, c3) encodes c0 + c1 rho1 + c2 rho2 + c3 rho1 rho2 = 0.
@@ -164,7 +164,7 @@ def solve_bilinear_rows(a, b, tol: float = 1e-12):
     zero (the last when the eliminated quadratic has negative discriminant,
     i.e. a gap).  This is the one-row case of the sweeps' batched solver.
     """
-    sol, count, degenerate = _solve_rows(np.atleast_2d(a), np.atleast_2d(b), tol)
+    sol, count, degenerate = _solve_rows(np.atleast_2d(a), np.atleast_2d(b))
     if degenerate[0]:
         raise DegenerateCurveError("bilinear system is degenerate")
     return [(float(r1), float(r2)) for r1, r2 in sol[0, : count[0]]]
@@ -257,72 +257,15 @@ def _sweep(dec, grid, rows, kind: str, parameter_name: str) -> list[CurveBranch]
     ]
 
 
-def envelope_q_zero(dec: AKDecomposition, lam: float):
-    """Envelope point when Q vanishes identically (rank-one-like coupling).
-
-    With Q = 0 the system F = F' = 0 is linear; by Cramer's rule
-      rho1 = (P2 ^ D) / (P1 ^ P2),  rho2 = -(P1 ^ D) / (P1 ^ P2)
-    where ^ is the derivative wedge f g' - f' g evaluated at lambda.
-    """
-    w12 = poly_wronskian(dec.P1, dec.P2)(lam)
-    if w12 == 0.0:
-        raise DegenerateCurveError("P1 ^ P2 vanishes at this lambda")
-    r1 = poly_wronskian(dec.P2, dec.D)(lam) / w12
-    r2 = -poly_wronskian(dec.P1, dec.D)(lam) / w12
-    return float(r1), float(r2)
-
-
 # ---------------------------------------------------------------------------
-# genericity and singular pieces
+# singular pieces
 
 
-def genericity_check(dec: AKDecomposition, lam: float, rank_tol: float = 1e-9) -> str:
-    """Classify the envelope system at lambda.
-
-    Returns one of:
-      'generic'       - the two-row system has full rank in (P1, P2, Q)
-      'inconsistent'  - F = F' = 0 has no solution at this lambda
-      'C1'            - both rows of (D, P1, P2, Q) are dependent (the
-                        derivative condition is vacuous; the zero set of F
-                        itself is the singular piece)
-      'C2'            - P2 proportional to Q with matching D, P1 relations
-      'C3'            - mirror of C2 with the roles of P1 and P2 swapped
-    """
-    a, b = _envelope_rows(dec, lam)
-    M3 = np.vstack([a[1:], b[1:]])
-    M4 = np.vstack([a, b])
-
-    def rank(M):
-        s = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(s > rank_tol * max(s[0], 1.0)))
-
-    r3, r4 = rank(M3), rank(M4)
-    if r4 < 2:
-        return "C1"
-    if r3 < r4:
-        return "inconsistent"
-
-    w = lambda f, g: poly_wronskian(f, g)(lam)
-    scale = max(dec.D.norm, dec.P1.norm, dec.P2.norm, dec.Q.norm, 1.0) ** 2
-    tol = rank_tol * scale
-    if (
-        abs(w(dec.P1, dec.Q)) > tol
-        and abs(w(dec.P2, dec.Q)) <= tol
-        and abs(w(dec.D, dec.P1)) <= tol
-        and abs(w(dec.P1, dec.P2) - w(dec.D, dec.Q)) <= tol
-    ):
-        return "C2"
-    if (
-        abs(w(dec.P2, dec.Q)) > tol
-        and abs(w(dec.P1, dec.Q)) <= tol
-        and abs(w(dec.D, dec.P2)) <= tol
-        and abs(w(dec.P1, dec.P2) - w(dec.D, dec.Q)) <= tol
-    ):
-        return "C3"
-    return "generic"
+# relative size below which Q(lambda) and D Q - P1 P2 count as zero
+SINGULAR_TOL = 1e-9
 
 
-def singular_piece(dec: AKDecomposition, lam: float, tol: float = 1e-9):
+def singular_piece(dec: AKDecomposition, lam: float):
     """Line decomposition of F(lambda; .) = 0 at a degenerate lambda.
 
     When the derivative row vanishes identically the zero set of the bilinear
@@ -333,9 +276,9 @@ def singular_piece(dec: AKDecomposition, lam: float, tol: float = 1e-9):
     """
     d, p1, p2, q = dec.D(lam), dec.P1(lam), dec.P2(lam), dec.Q(lam)
     scale = max(abs(d), abs(p1), abs(p2), abs(q), 1.0)
-    if abs(q) <= tol * scale:
+    if abs(q) <= SINGULAR_TOL * scale:
         raise DegenerateCurveError("singular piece needs Q(lambda) != 0")
-    if abs(d * q - p1 * p2) > tol * scale**2:
+    if abs(d * q - p1 * p2) > SINGULAR_TOL * scale**2:
         raise DegenerateCurveError(
             "bilinear form does not factor into lines at this lambda"
         )
@@ -370,8 +313,9 @@ def hopf_curve(dec: AKDecomposition, omega_grid) -> list[CurveBranch]:
 class SymmetricDegeneracyError(ValueError):
     """The triple-point condition vanishes identically.
 
-    Happens for decompositions with an exact exchange symmetry; the triple
-    locus is then a continuum and needs problem-specific treatment.
+    Happens for decompositions with an exact exchange symmetry, where the
+    triple locus is a continuum and needs problem-specific treatment, and on
+    a rank-one problem (P2 = Q = 0).
     """
 
 
@@ -381,11 +325,19 @@ def _envelope_discriminant(dec: AKDecomposition) -> Poly:
     return t * t - 4.0 * w(dec.D, dec.P1) * w(dec.P2, dec.Q)
 
 
-def _triple_newton(dec: AKDecomposition, lam, rho1, rho2, iters: int = 40):
+# triple_points: Newton steps of the polish at most; candidate roots of G
+# within this relative distance of each other (and of the real axis) merge;
+# singular values of the linear screen below this relative size are zero
+NEWTON_ITERS = 40
+CLUSTER_TOL = 1e-3
+RANK_RCOND = 1e-8
+
+
+def _triple_newton(dec: AKDecomposition, lam, rho1, rho2):
     """Polish (lambda, rho1, rho2) on F = F' = F'' = 0 by damped Newton."""
     scale = max(dec.D.norm, dec.P1.norm, dec.P2.norm, dec.Q.norm, 1.0)
     x = np.array([lam, rho1, rho2], float)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         lam, r1, r2 = x
         F = dec.charpoly(r1, r2)
         dr1 = dec.P1 + r2 * dec.Q
@@ -414,12 +366,7 @@ def _triple_newton(dec: AKDecomposition, lam, rho1, rho2, iters: int = 40):
     return float(lam), float(r1), float(r2)
 
 
-def triple_points(
-    dec: AKDecomposition,
-    lam_window: tuple[float, float],
-    cluster_tol: float = 1e-3,
-    rcond: float = 1e-8,
-):
+def triple_points(dec: AKDecomposition, lam_window: tuple[float, float]):
     """Parameter points where lambda is a triple eigenvalue.
 
     Candidate lambdas are roots (inside the window) of the derivative-
@@ -441,6 +388,11 @@ def triple_points(
     ) * w3(dec.P1, dec.D, dec.Q)
     G = G.chop(1e-10 * max(G.norm, 1.0))
     if G.is_zero:
+        if dec.P2.is_zero and dec.Q.is_zero:
+            raise SymmetricDegeneracyError(
+                "the triple-point condition vanishes at every lambda, "
+                "as on a rank-one problem (P2 = Q = 0)"
+            )
         raise SymmetricDegeneracyError(
             "triple-point condition is identically zero; the configuration "
             "has an exact symmetry and the locus is not isolated"
@@ -452,16 +404,16 @@ def triple_points(
     # a generous imaginary tolerance and merge the real parts
     roots = poly_roots(G)
     lo, hi = lam_window
-    pad = cluster_tol * max(1.0, abs(lo), abs(hi))
+    pad = CLUSTER_TOL * max(1.0, abs(lo), abs(hi))
     real = sorted(
         float(r.real)
         for r in roots
-        if abs(r.imag) <= cluster_tol * max(1.0, abs(r))
+        if abs(r.imag) <= CLUSTER_TOL * max(1.0, abs(r))
         and lo - pad <= r.real <= hi + pad
     )
     cands: list[list[float]] = []
     for r in real:
-        if cands and abs(r - cands[-1][-1]) <= cluster_tol * max(1.0, abs(r)):
+        if cands and abs(r - cands[-1][-1]) <= CLUSTER_TOL * max(1.0, abs(r)):
             cands[-1].append(r)
         else:
             cands.append([r])
@@ -481,7 +433,7 @@ def triple_points(
         )
         rhs = -np.array([dec.D(lam), dec.D.deriv()(lam), dec.D.deriv(2)(lam)])
         s = np.linalg.svd(A, compute_uv=False)
-        rank = int(np.sum(s > rcond * max(s[0], 1.0)))
+        rank = int(np.sum(s > RANK_RCOND * max(s[0], 1.0)))
         starts = []
         if rank == 3:
             x = np.linalg.solve(A, rhs)
@@ -489,7 +441,7 @@ def triple_points(
             if abs(x[0] * x[1] - x[2]) <= 1e-4 * scale:
                 starts.append((x[0], x[1]))
         elif rank == 2:
-            x0, *_ = np.linalg.lstsq(A, rhs, rcond=rcond)
+            x0, *_ = np.linalg.lstsq(A, rhs, rcond=RANK_RCOND)
             _, _, Vt = np.linalg.svd(A)
             nv = Vt[-1]
             # (x0 + t n) must satisfy x1 x2 = x3: quadratic in t

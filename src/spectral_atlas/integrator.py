@@ -25,7 +25,9 @@ from . import presets as _presets
 
 
 class DivergentGainError(ArithmeticError):
-    """Dominant left/right eigenvectors are orthogonal: gain is not defined."""
+    """The gain is not defined at a point: its dominant eigenvalue is not
+    simple, its left and right dominant eigenvectors are numerically
+    orthogonal, or a complex pair leads."""
 
 
 @dataclass(frozen=True)

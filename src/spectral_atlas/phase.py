@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lowrank import AKDecomposition, LowRankProblem
+from .lowrank import LowRankProblem
 
 # Census tuples (n_real, n_rhp) of the named regions of the four-dimensional
 # benchmark's stability diagram.  The letters track all four eigenvalues:
@@ -65,8 +65,13 @@ _CHUNK_ENTRIES = 1 << 16
 
 _MARGINAL = DOMINANT_KINDS.index("marginal")
 
+# an eigenvalue counts as real when its imaginary part is at most this
+# fraction of max(1, spectral radius), and as unstable when its real part
+# exceeds that fraction
+REALITY_TOL = 1e-7
 
-def _classify(ev: np.ndarray, tol_factor: float):
+
+def _classify(ev: np.ndarray):
     """(n_real, n_rhp, dominant code) of each row of a (cells, n) eigenvalue array.
 
     Reality and half-plane membership are decided relative to the spectral
@@ -75,7 +80,7 @@ def _classify(ev: np.ndarray, tol_factor: float):
     codes index DOMINANT_KINDS: 2 * complex + unstable, or marginal.
     """
     n = ev.shape[1]
-    tol = tol_factor * np.maximum(1.0, np.max(np.abs(ev), axis=1))
+    tol = REALITY_TOL * np.maximum(1.0, np.max(np.abs(ev), axis=1))
     n_real = np.sum(np.abs(ev.imag) <= tol[:, None], axis=1)
     n_real += (n - n_real) % 2  # odd complex count is a tolerance artifact
     n_rhp = np.sum(ev.real > tol[:, None], axis=1)
@@ -85,11 +90,9 @@ def _classify(ev: np.ndarray, tol_factor: float):
     return n_real, n_rhp, dominant
 
 
-def classify_point(
-    problem: LowRankProblem, rho1: float, rho2: float, tol_factor: float = 1e-7
-) -> RegionLabel:
+def classify_point(problem: LowRankProblem, rho1: float, rho2: float) -> RegionLabel:
     """Spectral label of one parameter point: the 1x1 case of phase_grid."""
-    return phase_grid(problem, [rho1], [rho2], tol_factor).label(0, 0)
+    return phase_grid(problem, [rho1], [rho2]).label(0, 0)
 
 
 @dataclass
@@ -116,9 +119,6 @@ class PhaseGrid:
         )
         return {(int(a), int(b)): int(c) for (a, b), c in zip(pairs, counts)}
 
-    def census_classes(self) -> set[tuple[int, int]]:
-        return set(self.census_counts())
-
     def to_csv(self) -> str:
         r1 = [repr(v) for v in self.rho1_values.tolist()]
         r2 = [repr(v) for v in self.rho2_values.tolist()]
@@ -133,12 +133,7 @@ class PhaseGrid:
         )
 
 
-def phase_grid(
-    problem: LowRankProblem,
-    rho1_values,
-    rho2_values,
-    tol_factor: float = 1e-7,
-) -> PhaseGrid:
+def phase_grid(problem: LowRankProblem, rho1_values, rho2_values) -> PhaseGrid:
     """Classify every point of a rectangular parameter grid.
 
     The perturbed matrices M + rho1 f1 g1^T + rho2 f2 g2^T are built by
@@ -163,62 +158,8 @@ def phase_grid(
         if outer2 is not None:
             A = A + r2s[j, None, None] * outer2
         ev = np.linalg.eigvals(A)
-        n_real[start:stop], n_rhp[start:stop], dominant[start:stop] = _classify(
-            ev, tol_factor
-        )
+        n_real[start:stop], n_rhp[start:stop], dominant[start:stop] = _classify(ev)
     shape = (r1s.size, r2s.size)
     return PhaseGrid(
         r1s, r2s, n_real.reshape(shape), n_rhp.reshape(shape), dominant.reshape(shape)
-    )
-
-
-def local_splitting(
-    dec: AKDecomposition,
-    lam0: float,
-    rho1: float,
-    rho2: float,
-    eps: float = 1e-9,
-    probe_radius: float = 1e-3,
-    double_radius: float | None = None,
-) -> str:
-    """How a (near-)double eigenvalue splits at a parameter point.
-
-    Expands F(lam0 + delta) = c0 + c1 delta + c2 delta^2 and reads the
-    discriminant c1^2 - 4 c2 c0.  On a curve or at an organizing point the
-    discriminant itself vanishes; then 16 nearby parameter directions are
-    probed and the splitting is declared 'real_pair' or 'complex_pair' only
-    if all probes agree.
-    """
-    F = dec.charpoly(rho1, rho2)
-    scale = max(F.norm, 1.0)
-    c0, c1, c2 = F(lam0), F.deriv()(lam0), 0.5 * F.deriv(2)(lam0)
-    if abs(c2) <= 1e-12 * scale:
-        raise ValueError("no quadratic term: lambda0 is not a double-root candidate")
-    # near-double precondition: both roots of the local quadratic model sit
-    # within a small window around lambda0
-    if double_radius is None:
-        double_radius = 0.1 * (1.0 + abs(lam0))
-    rts = np.roots([c2, c1, c0])
-    if np.max(np.abs(rts)) > double_radius:
-        raise ValueError(
-            "lambda0 is not a near-double eigenvalue at this parameter point"
-        )
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if abs(disc) > eps * scale**2:
-        return "real_pair" if disc > 0 else "complex_pair"
-
-    signs = []
-    for th in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
-        r1 = rho1 + probe_radius * np.cos(th)
-        r2 = rho2 + probe_radius * np.sin(th)
-        Fp = dec.charpoly(r1, r2)
-        d0, d1, d2 = Fp(lam0), Fp.deriv()(lam0), 0.5 * Fp.deriv(2)(lam0)
-        signs.append(np.sign(d1 * d1 - 4.0 * d2 * d0))
-    if all(s > 0 for s in signs):
-        return "real_pair"
-    if all(s < 0 for s in signs):
-        return "complex_pair"
-    raise ValueError(
-        "splitting is direction dependent at this point (curve or cusp); "
-        "no single label applies"
     )

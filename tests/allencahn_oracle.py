@@ -3,7 +3,10 @@
 perturbed_eigs_near finds eigenvalues of Htilde_rho by ARPACK shift-invert,
 and direct_inner solves H y = 1 with a sparse LU and exact residuals.  Both
 routes are independent of the inertia counts and banded solves with which
-allencahn.stability_index decides the index.
+allencahn.stability_index decides the index.  lame_spectrum gives the five
+explicit top eigenpairs of H for the cubic front, and restricted_matrix the
+perturbed operator on span{1, sn^2}, whose nonzero eigenvalue is
+allencahn.lambda1.
 """
 
 from fractions import Fraction
@@ -12,7 +15,13 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from spectral_atlas.allencahn import DiscretizedOperator, PoleProximityError
+from spectral_atlas.allencahn import (
+    CubicFront,
+    DiscretizedOperator,
+    PoleProximityError,
+    a_of_k,
+)
+from spectral_atlas.kernel import jacobi_sn_cn_dn
 
 
 def perturbed_eigs_near(
@@ -76,3 +85,60 @@ def direct_inner(op: DiscretizedOperator) -> float:
         ]
         y = y + scipy.sparse.linalg.spsolve(H, np.array([float(r) for r in res]))
     return float(op.h * np.sum(y))
+
+
+def lame_spectrum(k: float):
+    """The five explicit top eigenpairs of H = d_xx + (1+k^2) - 6 k^2 sn^2.
+
+    Returns (eigenvalue, eigenfunction, bc) triples ordered by decreasing
+    eigenvalue; bc records whether the mode satisfies a Neumann or a
+    Dirichlet condition at +-K(k).
+    """
+    if not 0.0 < k < 1.0:
+        raise ValueError("elliptic modulus must lie in (0,1)")
+    a = a_of_k(k)
+    k2 = k * k
+
+    def sn2_shift(shift):
+        def phi(x):
+            sn, _, _ = jacobi_sn_cn_dn(np.asarray(x, float), k)
+            return k2 * sn**2 - shift
+        return phi
+
+    def cn_dn(x):
+        _, cn, dn = jacobi_sn_cn_dn(np.asarray(x, float), k)
+        return cn * dn
+
+    def sn_dn(x):
+        sn, _, dn = jacobi_sn_cn_dn(np.asarray(x, float), k)
+        return sn * dn
+
+    def cn_sn(x):
+        sn, cn, _ = jacobi_sn_cn_dn(np.asarray(x, float), k)
+        return cn * sn
+
+    return [
+        (-(1.0 + k2 - 2.0 * a), sn2_shift((1.0 + k2 + a) / 3.0), "N"),
+        (0.0, cn_dn, "D"),
+        (-3.0 * k2, sn_dn, "N"),
+        (-3.0, cn_sn, "D"),
+        (-(1.0 + k2 + 2.0 * a), sn2_shift((1.0 + k2 - a) / 3.0), "N"),
+    ]
+
+
+def restricted_matrix(k: float):
+    """Perturbed operator restricted to span{1, sn^2} (the even Neumann pair).
+
+    Returns (2x2 matrix, eigenvalues); the eigenvalues are exactly
+    {0, lambda1(k)}: the zero comes from mass conservation along the family
+    of stationary profiles.
+    """
+    fr = CubicFront.from_k(k)
+    K, E, k2 = fr.K, fr.E, k * k
+    M = np.array(
+        [
+            [6.0 * (K - E) / K, 3.0 * (1.0 + k2) * (K - E) / (k2 * K)],
+            [-6.0 * k2, -3.0 * (1.0 + k2)],
+        ]
+    )
+    return M, np.linalg.eigvals(M)

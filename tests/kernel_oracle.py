@@ -1,0 +1,30 @@
+"""Oracles for the kernel tests that the library itself does not use.
+
+resultant decides whether two polynomials share a root by the determinant of
+their Sylvester matrix, without computing any root.
+"""
+
+import numpy as np
+
+from spectral_atlas.kernel import Poly
+
+
+def resultant(p: Poly, q: Poly) -> float:
+    """Sylvester-determinant resultant; zero iff p and q share a root."""
+    if p.is_zero or q.is_zero:
+        raise ValueError("resultant: zero polynomial input")
+    m, n = p.degree, q.degree
+    if m == 0 and n == 0:
+        return 1.0
+    # Sylvester matrix is (m+n) x (m+n); rows carry shifted coefficients
+    S = np.zeros((m + n, m + n))
+    pc = p.coef[::-1]  # descending
+    qc = q.coef[::-1]
+    for i in range(n):
+        S[i, i : i + m + 1] = pc
+    for i in range(m):
+        S[n + i, i : i + n + 1] = qc
+    # det sums log|pivot|; a zero pivot that LAPACK leaves unflagged (seen with
+    # a subnormal coefficient) takes log(0) and warns, though det = 0 is exact
+    with np.errstate(divide="ignore"):
+        return float(np.linalg.det(S))

@@ -20,9 +20,7 @@ from spectral_atlas.allencahn import (
     herglotz_h,
     inner_H_inv_one,
     lambda1,
-    lame_spectrum,
     period_integrals,
-    restricted_matrix,
     stability_index,
     tau,
     trace_family,
@@ -30,7 +28,7 @@ from spectral_atlas.allencahn import (
 )
 from spectral_atlas.kernel import Poly, elliptic_K_E
 
-from allencahn_oracle import perturbed_eigs_near
+from allencahn_oracle import lame_spectrum, perturbed_eigs_near, restricted_matrix
 
 
 @pytest.fixture(scope="module")

@@ -615,7 +615,7 @@ class TestExitCodes:
         assert out == ""
         assert "'M'" in err
 
-    @pytest.mark.parametrize("command", ["envelope", "hopf"])
+    @pytest.mark.parametrize("command", ["envelope", "hopf", "triples"])
     def test_rank_one_curves_are_3(self, tmp_path, capsys, command):
         # P2 = Q = 0: every row of the sweep is a singular linear system
         rng = np.random.default_rng(7)
@@ -729,6 +729,8 @@ class TestExitCodes:
             ["continuum", "lemma-check", "--omega-samples", " -2"],
             ["continuum", "envelope", "--cells", "0"],
             ["continuum", "envelope", "--cells", " -3"],
+            ["continuum", "envelope", "--omega-range", " 0:1:5"],
+            ["continuum", "envelope", "--branch", "hyper", "--omega-range", " -1:1:5"],
             ["phase", "--preset", "example1", "--grid", "0"],
         ],
         ids=shlex.join,

@@ -4,22 +4,25 @@ import pytest
 from spectral_atlas.continuum import (
     BranchParam,
     ContinuumSpec,
-    ResonantFrequencyError,
     bigF,
-    branch_lambda,
-    cell_response,
     continuum_envelope,
-    eigencondition,
-    eigencondition_closed,
     envelope_asymptotes,
     envelope_rho,
-    greens_coefficients,
-    gvector,
     lemma_f_domega,
     quadrant_ratio,
     quadrant_sign_check,
 )
 from spectral_atlas.curves import branches_to_csv
+
+from continuum_oracle import (
+    ResonantFrequencyError,
+    branch_lambda,
+    cell_response,
+    eigencondition,
+    eigencondition_closed,
+    greens_coefficients,
+    gvector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +235,8 @@ class TestEnvelope:
 
     def test_hyper_curve_second_quadrant(self, spec):
         br = continuum_envelope(spec, np.linspace(0.05, 20.0, 400), "hyper")
-        r1, r2 = br.rho_arrays()
+        r1 = np.array([p.rho1 for p in br.points])
+        r2 = np.array([p.rho2 for p in br.points])
         assert np.all(r1 > 0) and np.all(r2 < 0)
 
     def test_hyper_curve_begins_near_benchmark(self, spec):
@@ -251,7 +255,8 @@ class TestEnvelope:
         for N in (12, 24, 50, 100):
             s = ContinuumSpec(N=N)
             br = continuum_envelope(s, np.linspace(0.1, 15.0, 200), "hyper")
-            r1, r2 = br.rho_arrays()
+            r1 = np.array([p.rho1 for p in br.points])
+            r2 = np.array([p.rho2 for p in br.points])
             assert np.all(r1 > 0) and np.all(r2 < 0)
 
     def test_csv(self, spec):
@@ -262,6 +267,44 @@ class TestEnvelope:
         assert any(line.startswith("# gap") for line in lines)
         body = [l for l in lines if not l.startswith("#")][1:]
         assert all(l.split(",")[1] == "trig" for l in body)
+
+
+class TestReducedForms:
+    """The cell response with the common factor 2 s(omega L/2) divided out.
+
+    The reference values were computed in 50-digit mpmath: P(omega, x) in
+    the direct form of continuum_oracle.cell_response, its omega-derivative
+    by mpmath.diff, and rho = (-P2', P1') / (P1 P2' - P1' P2), at the exact
+    binary value of each float omega below.
+    """
+
+    def test_trig_at_removable_singularity(self, spec):
+        # omega L = 4 pi + 2.2e-6: the direct forms divide 0 by 0 here
+        _, r2 = envelope_rho(spec, BranchParam(12.566372787762104, "trig"))
+        ref = -1011.5089250146199438
+        assert abs(r2 - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "om,ref",
+        [
+            (0.0055, (0.078947164482189592372, -0.068649709748347409712)),
+            (0.01, (0.078947343822490179340, -0.068649869161971963415)),
+        ],
+    )
+    def test_hyper_at_small_omega(self, spec, om, ref):
+        # the direct sinh numerator cancels to O(omega^3) from O(omega) terms
+        got = envelope_rho(spec, BranchParam(om, "hyper"))
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-8
+
+    def test_asymptotes_at_multiples_of_pi(self, spec):
+        asy = envelope_asymptotes(spec, (0.5, 40.0), "trig")
+        assert len(asy) == 4
+        for got, mult in zip(asy[:3], (4, 6, 8)):
+            assert abs(got - mult * np.pi) < 1e-9
+        # at 12 pi both N1 and N2 vanish to second order, so N1 ^ N2 has a
+        # zero of order five whose sign double precision resolves only to
+        # about 1e-4 (the direct forms, with order seven, to 5.2e-3)
+        assert abs(asy[3] - 12 * np.pi) < 1e-3
 
 
 class TestQuadrantLemma:

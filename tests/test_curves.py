@@ -12,9 +12,7 @@ from spectral_atlas.curves import (
     constant_eigenvalue_curve,
     envelope,
     envelope_point,
-    envelope_q_zero,
     gap_intervals,
-    genericity_check,
     grid_branch,
     hopf_curve,
     hopf_point,
@@ -27,6 +25,8 @@ from spectral_atlas.curves import _solve_rows
 from spectral_atlas.kernel import Poly
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.presets import SQRT2, example1
+
+from curves_oracle import envelope_q_zero, genericity_check
 
 LAMSTAR = -2.0 + SQRT2 / 2.0
 

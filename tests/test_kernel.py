@@ -11,8 +11,9 @@ from spectral_atlas.kernel import (
     poly_roots,
     poly_wronskian,
     poly_wronskian3,
-    resultant,
 )
+
+from kernel_oracle import resultant
 
 
 class TestPoly:
