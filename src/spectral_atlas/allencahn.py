@@ -22,7 +22,7 @@ divides them out exactly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -333,6 +333,12 @@ def herglotz_h(op: DiscretizedOperator, rho: float, lam: complex) -> complex:
 
 @dataclass(frozen=True)
 class FamilyPoint:
+    """A point of the stationary family with its period integrals.
+
+    jac is the 3x2 Jacobian of (P, M, R) in (E_const, kappa), from the same
+    quadrature as the values.
+    """
+
     E_const: float
     kappa: float
     mu_minus: float
@@ -340,7 +346,20 @@ class FamilyPoint:
     P: float
     M: float
     R: float
+    jac: np.ndarray = field(compare=False, repr=False)
     s: float = 0.0
+
+    @property
+    def tau(self) -> float:
+        """(M_E P_k - M_k P_E) / (R_E P_k - R_k P_E): dM/dR along the family.
+
+        ZeroDivisionError at a fold of the family, where dR/ds vanishes.
+        """
+        (P_E, P_k), (M_E, M_k), (R_E, R_k) = self.jac.tolist()
+        den = R_E * P_k - R_k * P_E
+        if abs(den) < 1e-12 * max(1.0, abs(M_E * P_k), abs(M_k * P_E)):
+            raise ZeroDivisionError("fold of the family: dR/ds vanishes")
+        return (M_E * P_k - M_k * P_E) / den
 
 
 def _Q_coef(F: Poly, E_const: float, kappa: float) -> list[float]:
@@ -349,6 +368,22 @@ def _Q_coef(F: Poly, E_const: float, kappa: float) -> list[float]:
     q[0] += 2.0 * E_const
     q[1] += 2.0 * kappa
     return q
+
+
+def _horner(c, x):
+    """The polynomial with descending coefficients c at x, in np.polyval's
+    arithmetic; a coefficient may be a row of coefficients, one per column
+    of x."""
+    y = 0.0
+    for a in c:
+        y = y * x + a
+    return y
+
+
+def _deriv(c: list[float]) -> list[float]:
+    """Descending coefficients of the derivative."""
+    n = len(c) - 1
+    return [(n - i) * a for i, a in enumerate(c[:-1])]
 
 
 def turning_points(F: Poly, E_const: float, kappa: float):
@@ -367,9 +402,9 @@ def turning_points(F: Poly, E_const: float, kappa: float):
         raise TurningPointError("no turning point on one side of 0")
     mu = (max(below), min(above))
     # simplicity: Q' must not vanish at the endpoints
-    dq = [i * c for i, c in enumerate(q)][:0:-1]
+    dq = _deriv(q[::-1])
     tol = 1e-6 * max(1.0, abs(E_const), abs(kappa))
-    if min(abs(np.polyval(dq, r)) for r in mu) < tol:
+    if min(abs(_horner(dq, r)) for r in mu) < tol:
         raise TurningPointError("turning point is not simple (separatrix)")
     return mu
 
@@ -389,73 +424,93 @@ def _gauss_rule(nodes: int):
     return w, s2
 
 
-def period_integrals(F: Poly, E_const: float, kappa: float, mu: tuple | None = None):
-    """Period-type integrals (P, M, R) over one oscillation of the quadrature.
+def period_jet(F: Poly, E_const: float, kappa: float):
+    """Turning points, period integrals (P, M, R) and their exact 3x2 Jacobian
+    in (E_const, kappa), all from one quadrature.
 
     P integrates du/sqrt(Q), M weights by u, R by f(u) = F'(u).  The
     substitution u = mu_- + (mu_+ - mu_-) sin^2(theta) removes the
     inverse-square-root endpoint singularities, and Q = (u - mu_-)(mu_+ - u) W
     with W the exact polynomial quotient (the remainder of the division by
-    the computed roots is dropped), so the integrand 2/sqrt(W) is smooth and
-    fixed Gauss-Legendre quadrature converges spectrally.  mu passes turning
-    points already found by turning_points for the same (E_const, kappa).
+    the computed roots is dropped), so the integrands 2/sqrt(W), 2u/sqrt(W)
+    and 2f(u)/sqrt(W) are smooth and fixed Gauss-Legendre quadrature
+    converges spectrally.
+
+    The Jacobian differentiates those integrands at fixed theta.  The
+    turning points, roots of Q, move by dmu/dE = -2/Q'(mu) and
+    dmu/dkappa = -2 mu/Q'(mu), and the nodes u with them; W's coefficients
+    are differentiated through the two synthetic divisions in forward mode.
+
+    Returns ((mu_-, mu_+), (P, M, R), J) with J[i] = (dX/dE, dX/dkappa) for
+    X = P, M, R.
     """
-    mu_m, mu_p = turning_points(F, E_const, kappa) if mu is None else mu
+    mu_m, mu_p = turning_points(F, E_const, kappa)
     # c = -W: Q (descending) divided by u - mu_m, then by u - mu_p, by
-    # synthetic division; each remainder (zero up to rounding) is dropped
+    # synthetic division; each remainder (zero up to rounding) is dropped.
+    # dc carries the derivatives (d/dE, d/dkappa) of every coefficient:
+    # dQ/dE = 2, dQ/dkappa = 2u
     c = _Q_coef(F, E_const, kappa)[::-1]
+    dq = _deriv(c)
+    dc = [(0.0, 0.0)] * len(c)
+    dc[-1], dc[-2] = (2.0, 0.0), (0.0, 2.0)
+    dmu = []
     for r in (mu_m, mu_p):
+        slope = _horner(dq, r)
+        dr = (-2.0 / slope, -2.0 * r / slope)
+        dmu.append(dr)
         for i in range(1, len(c)):
             c[i] += r * c[i - 1]
+            # d(c[i] + r c[i-1]) = dc[i] + dr c[i-1] + r dc[i-1]
+            dc[i] = tuple(
+                a + b * c[i - 1] + r * e for a, b, e in zip(dc[i], dr, dc[i - 1])
+            )
         c.pop()
+        dc.pop()
     w, s2 = _gauss_rule(200)
     u = mu_m + (mu_p - mu_m) * s2
-    W = -np.polyval(c, u)
+    W = -_horner(c, u)
     if np.any(W <= 0.0):
         raise TurningPointError("integrand not positive inside the turning interval")
     base = 2.0 / np.sqrt(W)
-    f = [i * a for i, a in enumerate(F.coef.tolist())][:0:-1]  # F', descending
+    f = _deriv(F.coef.tolist()[::-1])  # F', descending
+    fu = _horner(f, u)
     P = float(w @ base)
     M = float(w @ (base * u))
-    R = float(w @ (base * np.polyval(f, u)))
-    return P, M, R
+    R = float(w @ (base * fu))
+    # at fixed theta the nodes move by du = dmu_- + (dmu_+ - dmu_-) sin^2(theta)
+    # (one column per parameter), W by dW = -(dc(u) + c'(u) du), and
+    # d(2/sqrt(W)) = -(base/2W) dW
+    dm, dp = np.array(dmu)
+    du = s2[:, None] * (dp - dm) + dm
+    dW = -(_horner(np.array(dc), u[:, None]) + _horner(_deriv(c), u)[:, None] * du)
+    wb = w * base
+    wh = 0.5 * wb / W
+    J = -(np.array([wh, wh * u, wh * fu]) @ dW)
+    J[1:] += np.array([wb, wb * _horner(_deriv(f), u)]) @ du
+    return (mu_m, mu_p), (P, M, R), J
+
+
+def period_integrals(F: Poly, E_const: float, kappa: float):
+    """Period-type integrals (P, M, R) over one oscillation of the quadrature:
+    the values of period_jet, whose quadrature they share."""
+    return period_jet(F, E_const, kappa)[1]
+
+
+def family_point(F: Poly, E_const: float, kappa: float, s: float = 0.0) -> FamilyPoint:
+    """The family point at (E_const, kappa): one period_jet."""
+    (mu_m, mu_p), (P, M, R), J = period_jet(F, E_const, kappa)
+    return FamilyPoint(E_const, kappa, mu_m, mu_p, P, M, R, J, s)
 
 
 def tau(F: Poly, E_const: float, kappa: float) -> float:
     """(M_E P_k - M_k P_E) / (R_E P_k - R_k P_E): dM/dR along the family.
 
-    Central differences with one step of Richardson refinement; the sign of
-    tau reproduces the sign of <1, H^{-1} 1> (they differ by the positive
+    The partial derivatives are period_jet's exact Jacobian, one quadrature;
+    ZeroDivisionError at a fold, where dR/ds vanishes.  The sign of tau
+    reproduces the sign of <1, H^{-1} 1> (they differ by the positive
     factor 2L).
     """
-
-    def vals(E, k):
-        return np.array(period_integrals(F, E, k))
-
-    def partials(step):
-        dE = (vals(E_const + step, kappa) - vals(E_const - step, kappa)) / (
-            2.0 * step
-        )
-        dk = (vals(E_const, kappa + step) - vals(E_const, kappa - step)) / (
-            2.0 * step
-        )
-        return dE, dk
-
-    h0 = 1e-5 * max(1.0, abs(E_const), abs(kappa))
-    dE1, dk1 = partials(h0)
-    dE2, dk2 = partials(h0 / 2.0)
-    P_E, M_E, R_E = (4.0 * dE2 - dE1) / 3.0
-    P_k, M_k, R_k = (4.0 * dk2 - dk1) / 3.0
-    den = R_E * P_k - R_k * P_E
-    if abs(den) < 1e-12 * max(1.0, abs(M_E * P_k), abs(M_k * P_E)):
-        raise ZeroDivisionError("fold of the family: dR/ds vanishes")
-    return float((M_E * P_k - M_k * P_E) / den)
-
-
-def family_point(F: Poly, E_const: float, kappa: float, s: float = 0.0) -> FamilyPoint:
-    mu_m, mu_p = turning_points(F, E_const, kappa)
-    P, M, R = period_integrals(F, E_const, kappa, mu=(mu_m, mu_p))
-    return FamilyPoint(E_const, kappa, mu_m, mu_p, P, M, R, s)
+    return family_point(F, E_const, kappa).tau
 
 
 def trace_family(
@@ -463,46 +518,45 @@ def trace_family(
 ) -> list[FamilyPoint]:
     """Arclength continuation of the constant-period family P(E, kappa) = P0.
 
-    Predictor along the rotated gradient (-P_kappa, P_E)/|grad P|, then a
-    Newton correction back onto the constraint along grad P until
-    |P - P0| < 1e-12 max(1, P0); FamilyCorrectorError if that takes more than
-    50 iterations.  Stops with the points found so far if a fold (vanishing
-    gradient) is reached.
+    Predictor along the rotated gradient (-P_kappa, P_E)/|grad P|, the
+    gradient taken from the previous point's Jacobian.  The corrector then
+    solves P = P0 on the line through the predicted point along that
+    gradient, by Newton steps whose slope comes from each new point's
+    Jacobian, until |P - P0| < 1e-12 max(1, P0); FamilyCorrectorError if
+    that takes more than 50 iterations.  The last corrector quadrature is
+    the accepted point's, so a step costs one quadrature per corrector
+    iteration and no more.  Stops with the points found so far if a fold
+    (vanishing gradient) is reached.
     """
     P0 = start.P
     out = [start]
-    E, kap, s = start.E_const, start.kappa, start.s
     prev_dir = None
     for _ in range(steps):
-        step = 1e-6 * max(1.0, abs(E), abs(kap))
-
-        def Pof(E_, k_):
-            return period_integrals(F, E_, k_)[0]
-
-        P_E = (Pof(E + step, kap) - Pof(E - step, kap)) / (2.0 * step)
-        P_k = (Pof(E, kap + step) - Pof(E, kap - step)) / (2.0 * step)
+        p = out[-1]
+        P_E, P_k = p.jac[0].tolist()
         norm = float(np.hypot(P_E, P_k))
         if norm < 1e-10:
             break  # fold: gradient of the period vanishes
-        d = np.array([-P_k, P_E]) / norm
-        if prev_dir is not None and d @ prev_dir < 0.0:
-            d = -d
+        d = (-P_k / norm, P_E / norm)
+        if prev_dir is not None and d[0] * prev_dir[0] + d[1] * prev_dir[1] < 0.0:
+            d = (-d[0], -d[1])
         prev_dir = d
-        E_new, k_new = E + ds * d[0], kap + ds * d[1]
-        # correct back onto P = P0 along the gradient
-        g = np.array([P_E, P_k]) / norm
+        E, kap = p.E_const + ds * d[0], p.kappa + ds * d[1]
+        # correct back onto P = P0 along the gradient g
+        g = (P_E / norm, P_k / norm)
         for _ in range(50):
-            r = Pof(E_new, k_new) - P0
+            q = family_point(F, E, kap, s=p.s + ds)
+            r = q.P - P0
             if abs(r) < 1e-12 * max(1.0, P0):
                 break
-            E_new -= r * g[0] / norm
-            k_new -= r * g[1] / norm
+            slope = float(q.jac[0] @ g)
+            E -= r * g[0] / slope
+            kap -= r * g[1] / slope
         else:
             raise FamilyCorrectorError(
                 f"corrector left |P - P0| = {abs(r):.3g} after 50 iterations"
             )
-        E, kap, s = E_new, k_new, s + ds
-        out.append(family_point(F, E, kap, s=s))
+        out.append(q)
     return out
 
 
@@ -510,14 +564,15 @@ def family_table(front: CubicFront, steps: int, ds: float) -> np.ndarray:
     """The front's stationary family traced from the symmetric profile
     (E = 1/2, kappa = 0) by trace_family.
 
-    One row (s, E, kappa, mu_minus, mu_plus, P, M, R, tau) per point; tau is
-    nan at a fold of the family, where it is undefined.
+    One row (s, E, kappa, mu_minus, mu_plus, P, M, R, tau) per point, each
+    from that point's one quadrature; tau is nan at a fold of the family,
+    where it is undefined.
     """
     start = family_point(front.F, 0.5, 0.0)
     rows = []
     for p in trace_family(front.F, start, steps, ds):
         try:
-            t = tau(front.F, p.E_const, p.kappa)
+            t = p.tau
         except ZeroDivisionError:
             t = float("nan")
         rows.append((p.s, p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R, t))

@@ -70,6 +70,14 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
+def nonzero_float(text: str) -> float:
+    """argparse type of a finite float option that must not be 0."""
+    value = finite_float(text)
+    if value == 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonzero, got {text!r}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type of every count option: an int >= 1."""
     try:
@@ -557,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=positive_int, default=4000, help="discretization size")
     p.add_argument("--rho", type=finite_float, default=1.0, help="index coupling in (0, 1]")
     p.add_argument("--steps", type=positive_int, default=40)
-    p.add_argument("--ds", type=finite_float, default=0.01)
+    p.add_argument("--ds", type=nonzero_float, default=0.01)
     common(p, "json")
 
     return ap

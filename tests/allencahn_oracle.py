@@ -6,7 +6,8 @@ routes are independent of the inertia counts and banded solves with which
 allencahn.stability_index decides the index.  lame_spectrum gives the five
 explicit top eigenpairs of H for the cubic front, and restricted_matrix the
 perturbed operator on span{1, sn^2}, whose nonzero eigenvalue is
-allencahn.lambda1.
+allencahn.lambda1.  tau_richardson takes the derivatives of the period
+integrals by finite differences, apart from period_jet's exact Jacobian.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from spectral_atlas.allencahn import (
     DiscretizedOperator,
     PoleProximityError,
     a_of_k,
+    period_integrals,
 )
 from spectral_atlas.kernel import jacobi_sn_cn_dn
 
@@ -142,3 +144,34 @@ def restricted_matrix(k: float):
         ]
     )
     return M, np.linalg.eigvals(M)
+
+
+def tau_richardson(F, E_const: float, kappa: float) -> float:
+    """(M_E P_k - M_k P_E) / (R_E P_k - R_k P_E): dM/dR along the family.
+
+    Central differences with one step of Richardson refinement; the sign of
+    tau reproduces the sign of <1, H^{-1} 1> (they differ by the positive
+    factor 2L).
+    """
+
+    def vals(E, k):
+        return np.array(period_integrals(F, E, k))
+
+    def partials(step):
+        dE = (vals(E_const + step, kappa) - vals(E_const - step, kappa)) / (
+            2.0 * step
+        )
+        dk = (vals(E_const, kappa + step) - vals(E_const, kappa - step)) / (
+            2.0 * step
+        )
+        return dE, dk
+
+    h0 = 1e-5 * max(1.0, abs(E_const), abs(kappa))
+    dE1, dk1 = partials(h0)
+    dE2, dk2 = partials(h0 / 2.0)
+    P_E, M_E, R_E = (4.0 * dE2 - dE1) / 3.0
+    P_k, M_k, R_k = (4.0 * dk2 - dk1) / 3.0
+    den = R_E * P_k - R_k * P_E
+    if abs(den) < 1e-12 * max(1.0, abs(M_E * P_k), abs(M_k * P_E)):
+        raise ZeroDivisionError("fold of the family: dR/ds vanishes")
+    return float((M_E * P_k - M_k * P_E) / den)

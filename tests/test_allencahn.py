@@ -21,6 +21,7 @@ from spectral_atlas.allencahn import (
     inner_H_inv_one,
     lambda1,
     period_integrals,
+    period_jet,
     stability_index,
     tau,
     trace_family,
@@ -28,7 +29,12 @@ from spectral_atlas.allencahn import (
 )
 from spectral_atlas.kernel import Poly, elliptic_K_E
 
-from allencahn_oracle import lame_spectrum, perturbed_eigs_near, restricted_matrix
+from allencahn_oracle import (
+    lame_spectrum,
+    perturbed_eigs_near,
+    restricted_matrix,
+    tau_richardson,
+)
 
 
 @pytest.fixture(scope="module")
@@ -599,6 +605,86 @@ class TestPeriodIntegrals:
         )
         P, _, _ = period_integrals(fr.F, E, kap)
         assert abs(P - ref) < 1e-7
+
+
+# the symmetric profile and two traced family points per modulus, criterion
+# 10's random quartics with a cubic term, and the scaled potential c F
+JET_CASES = (
+    [("cubic", k, row) for k in (0.2, 0.5, 0.7, 0.75, 0.86) for row in (0, 1, 2)]
+    + [("quartic", i, 0) for i in range(6)]
+    + [("scaled", 0.5, row) for row in (0, 1)]
+)
+
+
+def jet_case(kind, x, row):
+    """(F, E, kappa) of a JET_CASES entry."""
+    if kind == "quartic":
+        rng = np.random.default_rng(7)
+        for _ in range(x + 1):
+            c2, c4 = rng.uniform(0.5, 2.0, 2)
+            c3 = rng.uniform(-0.3, 0.3)
+            kappa = rng.uniform(-0.05, 0.05)
+        return Poly([0.0, 0.0, c2 / 2, c3 / 3, c4 / 4]), 1.0, kappa
+    F = CubicFront.from_k(x).F
+    p = trace_family(F, family_point(F, 0.5, 0.0), row, 0.01)[row]
+    if kind == "scaled":
+        c = 2.7
+        return c * F, c * p.E_const, c * p.kappa
+    return F, p.E_const, p.kappa
+
+
+def case_id(case):
+    return "-".join(map(str, case))
+
+
+class TestPeriodJet:
+    @pytest.mark.parametrize("case", JET_CASES, ids=case_id)
+    def test_jacobian_against_central_differences(self, case):
+        F, E, kappa = jet_case(*case)
+
+        # central differences of the values, with one Richardson step
+        def vals(E_, k_):
+            return np.array(period_integrals(F, E_, k_))
+
+        def partials(step):
+            return np.column_stack(
+                [
+                    (vals(E + step, kappa) - vals(E - step, kappa)) / (2.0 * step),
+                    (vals(E, kappa + step) - vals(E, kappa - step)) / (2.0 * step),
+                ]
+            )
+
+        h = 1e-5 * max(1.0, abs(E), abs(kappa))
+        ref = (4.0 * partials(h / 2.0) - partials(h)) / 3.0
+        _, values, J = period_jet(F, E, kappa)
+        assert values == period_integrals(F, E, kappa)
+        assert J.shape == (3, 2)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(J - ref) <= 1e-8 * scale)
+
+    @pytest.mark.parametrize("case", JET_CASES, ids=case_id)
+    def test_tau_against_richardson(self, case):
+        F, E, kappa = jet_case(*case)
+        ref = tau_richardson(F, E, kappa)
+        assert abs(tau(F, E, kappa) - ref) <= 1e-8 * abs(ref)
+
+    def test_turning_points_and_values_of_the_point(self):
+        fr = CubicFront.from_k(0.6)
+        mu, values, _ = period_jet(fr.F, 0.47, 0.02)
+        assert mu == turning_points(fr.F, 0.47, 0.02)
+        p = family_point(fr.F, 0.47, 0.02)
+        assert (p.mu_minus, p.mu_plus) == mu and (p.P, p.M, p.R) == values
+
+    def test_tau_fold_rule(self):
+        # a vanishing R row: dR/ds = 0 in every direction, a fold
+        fr = CubicFront.from_k(0.5)
+        p = family_point(fr.F, 0.5, 0.0)
+        flat = allencahn.FamilyPoint(
+            p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R,
+            np.array([p.jac[0], p.jac[1], [0.0, 0.0]]),
+        )
+        with pytest.raises(ZeroDivisionError):
+            flat.tau
 
 
 class TestTauAndFamily:
