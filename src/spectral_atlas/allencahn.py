@@ -22,6 +22,7 @@ divides them out exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,8 @@ class TurningPointError(ValueError):
 
 
 class FamilyCorrectorError(ArithmeticError):
-    """The family corrector did not bring the period back to its start value."""
+    """The family trace cannot go on: the corrector did not bring the period
+    back to its start value, or the period gradient vanished."""
 
 
 def a_of_k(k: float) -> float:
@@ -116,9 +118,9 @@ class DiscretizedOperator:
 
     Immutable: the arrays are read-only, so what is computed from them is
     computed once, on first use, and shared by every later call.  The index
-    and the pole guard ask only for the ends of the spectrum and eigenvalue
-    counts, which LAPACK bisection (Sturm counts, O(n) each) answers without
-    a full eigensolve.
+    and the pole guard ask only for eigenvalue counts (Sturm counts, O(n)
+    each) and the row-sum norm, which bounds the spectrum; no eigenvalue is
+    located unless its value is needed.
     """
 
     n: int
@@ -147,6 +149,15 @@ class DiscretizedOperator:
         return self._eigvals
 
     @functools.cached_property
+    def norm(self) -> float:
+        """||H||_inf, the largest row sum of |H|: the Gershgorin bound on
+        |lambda|, O(n) and computed once."""
+        rows = np.abs(self.diag)
+        rows[:-1] += np.abs(self.off)
+        rows[1:] += np.abs(self.off)
+        return float(rows.max())
+
+    @functools.cached_property
     def _ends(self) -> tuple[float, float]:
         """Lowest and highest eigenvalue of H, by bisection."""
         return tuple(
@@ -161,15 +172,20 @@ class DiscretizedOperator:
     def count_eigvals(self, lo: float, hi: float) -> int:
         """Number of eigenvalues of H in (lo, hi]; 0 when lo >= hi.
 
-        LAPACK bisection: two Sturm counts, O(n) each, plus the bisection of
-        the eigenvalues found, so a short interval costs O(n) and no full
-        eigensolve.
+        A pure count: the Sturm counts of LAPACK's stebz at lo and hi, O(n)
+        each.  Its tolerance is hi - lo, so the bisection stops after its
+        first midpoint and locates no eigenvalue; the count itself comes from
+        the Sturm counts and is exact whatever the tolerance.  ValueError if
+        an end is not finite.
         """
+        for name, end in (("lo", lo), ("hi", hi)):
+            if not math.isfinite(end):
+                raise ValueError(f"interval end {name} = {end} is not finite")
         if lo >= hi:
             return 0
         return len(
             scipy.linalg.eigvalsh_tridiagonal(
-                self.diag, self.off, select="v", select_range=(lo, hi)
+                self.diag, self.off, select="v", select_range=(lo, hi), tol=hi - lo
             )
         )
 
@@ -203,6 +219,8 @@ def build_H_discrete(f_prime, L: float, n: int = 4000) -> DiscretizedOperator:
     fp = np.array(f_prime(x) if callable(f_prime) else f_prime, float)
     if fp.shape != (n,):
         raise ValueError("f_prime samples must have length n")
+    if not np.all(np.isfinite(fp)):
+        raise ValueError("f_prime samples must be finite")
     diag = fp - 2.0 / h**2
     diag[0] += 1.0 / h**2  # ghost reflection at the ends
     diag[-1] += 1.0 / h**2
@@ -226,7 +244,7 @@ def inner_H_inv_one(op: DiscretizedOperator) -> float:
 
     This is 2L s(0) for the resolvent sum s(lam) = (h/2L) 1^T (H - lam)^{-1} 1
     that herglotz_h evaluates.  H must be nonsingular; stability_index checks
-    that by a bisection count before it solves.
+    that by a Sturm count before it solves.
     """
     ones = np.ones(op.n)
     return float(op.h * (ones @ op.solve(ones)))
@@ -250,26 +268,30 @@ def stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
     eigenvalue lie within tol of 0, where g(lam) = 1 - (h/2L) fp^T (H - lam)^{-1} 1
     and g'(0) = -<1, H^{-1} 1>/2L.
 
-    Counts are LAPACK bisection counts and each s a banded solve, so the
-    index costs O(n).  n_plus(H) counts eigenvalues above tol = max(1e-9 top,
-    8 eps max(|lambda_min|, |lambda_max|)) with top = max(1, |lambda_max|):
-    the top of the spectrum sets the scale of the answer, the O(1/h^2)
-    Laplacian tail at the bottom only the rounding of the counts.  An
-    eigenvalue of H in (-tol, tol], or at rho = 1 a numerically zero
-    <1, H^{-1} 1>, raises IndeterminateIndexError; rho outside (0,1] raises
-    ValueError.
+    Counts are Sturm counts and each s a banded solve, so the index costs
+    O(n).  n_plus(H) counts eigenvalues above tol = max(1e-9 top,
+    8 eps ||H||_inf) with top = max(1, |lambda_max|): the top of the spectrum
+    sets the scale of the answer, the O(1/h^2) Laplacian tail in the row-sum
+    norm only the rounding of the counts (stebz rounds on the same norm).
+    top is 1 when two counts place lambda_max in (-1, 1]; only otherwise is
+    lambda_max bisected.  An eigenvalue of H in (-tol, tol], or at rho = 1 a
+    numerically zero <1, H^{-1} 1>, raises IndeterminateIndexError; rho
+    outside (0,1] raises ValueError.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("need rho in (0,1]")
-    lowest, highest = op._ends
-    top = max(1.0, abs(highest))
-    rounding = 8.0 * np.finfo(float).eps * max(abs(lowest), abs(highest))
-    tol = max(1e-9 * top, rounding)
+    # clear of the spectrum whatever the rounding of the row sums
+    above = 2.0 * op.norm
+    if op.count_eigvals(1.0, above) == 0 and op.count_eigvals(-1.0, above) > 0:
+        top = 1.0  # lambda_max in (-1, 1]
+    else:
+        top = max(1.0, abs(op._ends[1]))
+    tol = max(1e-9 * top, 8.0 * np.finfo(float).eps * op.norm)
     if op.count_eigvals(-tol, tol) > 0:
         raise IndeterminateIndexError(
             f"H has an eigenvalue within {tol:.3g} of 0; index not decided"
         )
-    n_plus_H = op.count_eigvals(tol, highest + top)
+    n_plus_H = op.count_eigvals(tol, above)
     ones = np.ones(op.n)
     y = op.solve(ones)
     inner = float(op.h * (ones @ y))
@@ -306,15 +328,18 @@ def herglotz_h(op: DiscretizedOperator, rho: float, lam: complex) -> complex:
     axis.
 
     The spectral sum is the resolvent form (h/2L) 1^T (H - lam)^{-1} 1, one
-    banded solve.  The pole guard (an eigenvalue of H within delta of lam)
-    is a bisection count over the real interval where the disc of radius
-    delta about lam meets the axis, so each call is O(n) once the ends of
-    the spectrum, which set delta, are known.
+    banded solve.  The pole guard (an eigenvalue of H within
+    delta = 1e-12 max(1, ||H||_inf) of lam) is a Sturm count over the real
+    interval where the disc of radius delta about lam meets the axis, made
+    only when that disc reaches the axis, so each call is O(n).  ValueError
+    for a non-finite lam.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("need rho in (0,1]")
-    delta = 1e-12 * max(1.0, *map(abs, op._ends))
     z = complex(lam)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"lambda = {z} is not finite")
+    delta = 1e-12 * max(1.0, op.norm)
     if abs(z.imag) < delta:
         r = np.sqrt(delta**2 - z.imag**2)
         if op.count_eigvals(z.real - r, z.real + r) > 0:
@@ -525,8 +550,9 @@ def trace_family(
     Jacobian, until |P - P0| < 1e-12 max(1, P0); FamilyCorrectorError if
     that takes more than 50 iterations.  The last corrector quadrature is
     the accepted point's, so a step costs one quadrature per corrector
-    iteration and no more.  Stops with the points found so far if a fold
-    (vanishing gradient) is reached.
+    iteration and no more.  FamilyCorrectorError, naming s, where the
+    period gradient vanishes (|grad P| < 1e-10), since no direction along
+    the family is defined there.
     """
     P0 = start.P
     out = [start]
@@ -536,7 +562,10 @@ def trace_family(
         P_E, P_k = p.jac[0].tolist()
         norm = float(np.hypot(P_E, P_k))
         if norm < 1e-10:
-            break  # fold: gradient of the period vanishes
+            raise FamilyCorrectorError(
+                f"period gradient vanishes at s = {p.s:.6g} "
+                f"(|grad P| = {norm:.3g}): no direction to continue"
+            )
         d = (-P_k / norm, P_E / norm)
         if prev_dir is not None and d[0] * prev_dir[0] + d[1] * prev_dir[1] < 0.0:
             d = (-d[0], -d[1])

@@ -427,9 +427,9 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_rs(args) -> int:
-    # allencahn is the one module whose solvers (tridiagonal bisection, banded
-    # solves) numpy lacks, and its import is most of a cold start; only the
-    # rs commands import it
+    # allencahn is the one module whose solvers (tridiagonal Sturm counts,
+    # banded solves) numpy lacks, and its import is most of a cold start; only
+    # the rs commands import it
     from . import allencahn
 
     try:

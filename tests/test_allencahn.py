@@ -428,6 +428,127 @@ class TestStabilityIndex:
             stability_index(op)
 
 
+class TestCountsOnly:
+    """The index and the pole guard run on Sturm counts and the row-sum norm;
+    an eigenvalue is bisected only where its value is needed."""
+
+    @staticmethod
+    def record_counts(monkeypatch):
+        counts, located = [], []
+        real_count = allencahn.DiscretizedOperator.count_eigvals
+        real_eigvals = scipy.linalg.eigvalsh_tridiagonal
+
+        def count(self, lo, hi):
+            counts.append((lo, hi))
+            return real_count(self, lo, hi)
+
+        def eigvals(*args, **kwargs):
+            if kwargs.get("select", "a") != "v":
+                located.append(kwargs.get("select", "a"))
+            return real_eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(allencahn.DiscretizedOperator, "count_eigvals", count)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", eigvals)
+        return counts, located
+
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.65])
+    def test_index_budget(self, k, monkeypatch):
+        counts, located = self.record_counts(monkeypatch)
+        op = cubic_operator(k, n=1000)
+        stability_index(op)
+        assert len(counts) <= 4
+        assert located == []
+        assert "_ends" not in vars(op)
+
+    def test_herglotz_off_axis_makes_no_count(self, monkeypatch):
+        counts, located = self.record_counts(monkeypatch)
+        op = cubic_operator(0.5, n=800)
+        for im in (0.05, 0.3, 1.0):
+            for re in (-4.0, -0.5, 0.0, 0.3, 2.0):
+                for rho in (0.6, 1.0):
+                    herglotz_h(op, rho, complex(re, im))
+        assert counts == [] and located == []
+        assert "_ends" not in vars(op)
+
+    @pytest.mark.parametrize(
+        "fp, L, n",
+        [
+            (lambda x: 3.0 - x**2, 2.0, 400),  # lambda_max > 1
+            (lambda x: -50.0 * np.ones_like(x), 1.0, 200),  # lambda_max < -1
+            (lambda x: -np.ones_like(x), 1.0, 200),  # lambda_max = -1
+        ],
+        ids=["3-x^2", "-50", "-1"],
+    )
+    def test_fallback_matches_full_spectrum_rule(self, fp, L, n):
+        op = build_H_discrete(fp, L, n)
+        assert stability_index(op) == old_stability_index(op)
+        # |lambda_max| > 1 is read from the bisected top eigenvalue
+        if abs(op.eigvals()[-1]) > 1.0 + 1e-9:
+            assert "_ends" in vars(op)
+
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
+    def test_rounding_scale_matches_full_spectrum_rule(self, k):
+        op = cubic_operator(k, n=4000)
+        # the rounding term 8 eps ||H||_inf sets tol here, not 1e-9 top
+        assert 8.0 * np.finfo(float).eps * op.norm > 1e-9
+        assert stability_index(op) == old_stability_index(op)
+
+    @given(
+        st.lists(TRIDIAGONAL_ENTRIES, min_size=1, max_size=30),
+        st.lists(TRIDIAGONAL_ENTRIES, min_size=29, max_size=29),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_norm_bounds_spectrum(self, diag, off):
+        n = len(diag)
+        diag, off = np.array(diag), np.array(off[: n - 1])
+        zeros = np.zeros(n)
+        op = allencahn.DiscretizedOperator(
+            n=n, h=1.0, L=1.0, x=zeros, fp=zeros, diag=diag, off=off
+        )
+        ev = scipy.linalg.eigvalsh_tridiagonal(diag, off) if n > 1 else diag
+        # up to the eigensolver's backward error, a few eps ||H|| per row
+        assert np.max(np.abs(ev)) <= op.norm * (1.0 + 8 * n * np.finfo(float).eps)
+        rows = np.sum(np.abs(op.matrix()), axis=1)
+        assert op.norm == pytest.approx(np.max(rows), rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_operator_rejects_non_finite_samples(self, bad):
+        # else the row-sum norm, and every count up to it, would be nan
+        with pytest.raises(ValueError, match="finite"):
+            build_H_discrete(lambda x: np.where(x > 0.5, bad, -1.0), 1.0, 64)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (np.nan, np.nan)]
+    )
+    def test_count_rejects_non_finite_end(self, lo, hi, monkeypatch):
+        called = []
+        monkeypatch.setattr(
+            scipy.linalg, "eigvalsh_tridiagonal", lambda *a, **kw: called.append(1)
+        )
+        op = cubic_operator(0.5, n=200)
+        with pytest.raises(ValueError, match="not finite"):
+            op.count_eigvals(lo, hi)
+        assert called == []
+
+    @pytest.mark.parametrize(
+        "lam",
+        [complex(np.nan, 0.0), complex(0.2, np.nan), complex(np.inf, 0.1), np.nan],
+        ids=str,
+    )
+    def test_herglotz_rejects_non_finite_lambda(self, lam, monkeypatch):
+        called = []
+
+        def no_lapack(*args, **kwargs):
+            called.append(1)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_lapack)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", no_lapack)
+        op = cubic_operator(0.5, n=200)
+        with pytest.raises(ValueError, match="not finite"):
+            herglotz_h(op, 0.5, lam)
+        assert called == []
+
+
 class TestEigStructure:
     def test_reality_over_rho(self):
         op = cubic_operator(0.5, n=900)
@@ -738,6 +859,15 @@ class TestTauAndFamily:
         back = trace_family(fr.F, fwd[-1], steps=10, ds=-0.002)
         assert abs(back[-1].E_const - start.E_const) < 1e-6
         assert abs(back[-1].kappa - start.kappa) < 1e-6
+
+    @pytest.mark.parametrize("s0", [0.0, 0.25])
+    def test_vanishing_gradient_names_s(self, s0):
+        # at k = 1e-9 the potential is isochronous to rounding: |grad P| ~ 1e-18
+        fr = CubicFront.from_k(1e-9)
+        start = family_point(fr.F, 0.5, 0.0, s=s0)
+        with pytest.raises(allencahn.FamilyCorrectorError, match=f"s = {s0:g} "):
+            trace_family(fr.F, start, steps=2, ds=0.01)
+        assert trace_family(fr.F, start, steps=0, ds=0.01) == [start]
 
     def test_family_table_rows(self):
         fr = CubicFront.from_k(0.5)

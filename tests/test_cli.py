@@ -722,6 +722,15 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in err or ">= 0" in err
 
+    @pytest.mark.parametrize("k", ["1e-6", "1e-9"])
+    def test_rs_family_vanishing_gradient_is_3(self, k, capsys):
+        # a nearly isochronous potential: the period gradient vanishes at the
+        # start, so no row past it can be traced
+        code, out, err = run(["rs", "family", "--k", k, "--steps", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "gradient vanishes at s = 0 " in err
+
     def test_rs_family_without_turning_point_is_3(self, capsys):
         # the step leaves the region where Q has a root on each side of 0
         code, out, err = run(
