@@ -175,19 +175,20 @@ class DiscretizedOperator:
         A pure count: the Sturm counts of LAPACK's stebz at lo and hi, O(n)
         each.  Its tolerance is hi - lo, so the bisection stops after its
         first midpoint and locates no eigenvalue; the count itself comes from
-        the Sturm counts and is exact whatever the tolerance.  ValueError if
-        an end is not finite.
+        the Sturm counts and is exact whatever the tolerance.  stebz is called
+        directly (range 1: by value), as eigvalsh_tridiagonal would call it
+        without re-checking both arrays.  ValueError if an end is not finite.
         """
         for name, end in (("lo", lo), ("hi", hi)):
             if not math.isfinite(end):
                 raise ValueError(f"interval end {name} = {end} is not finite")
         if lo >= hi:
             return 0
-        return len(
-            scipy.linalg.eigvalsh_tridiagonal(
-                self.diag, self.off, select="v", select_range=(lo, hi), tol=hi - lo
-            )
-        )
+        d, e = self.diag, self.off
+        m, _, _, _, info = scipy.linalg.lapack.dstebz(d, e, 1, lo, hi, 1, 1, hi - lo, "E")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stebz failed with info = {info} on ({lo}, {hi}]")
+        return int(m)
 
     def eig(self):
         """Eigenvalues and Euclidean-orthonormal eigenvectors (columns)."""

@@ -5,6 +5,7 @@ F(lambda; rho1, rho2) = D + rho1 P1 + rho2 P2 + rho1 rho2 Q.  For a fixed
 lambda (or a fixed imaginary pair +-i omega) the eigenvalue condition is
 bilinear in (rho1, rho2); curves are traced by sweeping the spectral
 parameter and solving the resulting one- or two-row bilinear systems.
+Triple points are the cusps of the envelope, found on its sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import Poly, poly_roots, poly_wronskian, poly_wronskian3
+from .kernel import Poly  # noqa: F401  (curves.Poly: the benchmark builds decompositions with it)
 from .lowrank import AKDecomposition
 
 
@@ -311,163 +312,169 @@ def hopf_curve(dec: AKDecomposition, omega_grid) -> list[CurveBranch]:
 
 
 class SymmetricDegeneracyError(ValueError):
-    """The triple-point condition vanishes identically.
-
-    Happens for decompositions with an exact exchange symmetry, where the
-    triple locus is a continuum and needs problem-specific treatment, and on
-    a rank-one problem (P2 = Q = 0).
-    """
+    """The envelope system F = F' = 0 is degenerate at every lambda of the
+    window, so no envelope branch has cusps; as on a rank-one problem."""
 
 
-def _envelope_discriminant(dec: AKDecomposition) -> Poly:
-    w = poly_wronskian
-    t = w(dec.P1, dec.P2) - w(dec.D, dec.Q)
-    return t * t - 4.0 * w(dec.D, dec.P1) * w(dec.P2, dec.Q)
-
-
-# triple_points: Newton steps of the polish at most; candidate roots of G
-# within this relative distance of each other (and of the real axis) merge;
-# singular values of the linear screen below this relative size are zero
-NEWTON_ITERS = 40
-CLUSTER_TOL = 1e-3
+# triple_points: lambdas of the envelope sweep over the window; parts each
+# bracket is cut into per refinement step; singular values of the linear
+# screen below this relative size are zero
+TRIPLE_GRID = 2001
+TRIPLE_SPLIT = 16
 RANK_RCOND = 1e-8
 
 
-def _triple_newton(dec: AKDecomposition, lam, rho1, rho2):
-    """Polish (lambda, rho1, rho2) on F = F' = F'' = 0 by damped Newton."""
-    scale = max(dec.D.norm, dec.P1.norm, dec.P2.norm, dec.Q.norm, 1.0)
-    x = np.array([lam, rho1, rho2], float)
-    for _ in range(NEWTON_ITERS):
-        lam, r1, r2 = x
-        F = dec.charpoly(r1, r2)
-        dr1 = dec.P1 + r2 * dec.Q
-        dr2 = dec.P2 + r1 * dec.Q
-        res = np.array([F(lam), F.deriv()(lam), F.deriv(2)(lam)])
-        if np.max(np.abs(res)) <= 1e-12 * scale:
-            break
-        J = np.array(
-            [
-                [F.deriv()(lam), dr1(lam), dr2(lam)],
-                [F.deriv(2)(lam), dr1.deriv()(lam), dr2.deriv()(lam)],
-                [F.deriv(3)(lam), dr1.deriv(2)(lam), dr2.deriv(2)(lam)],
-            ]
-        )
-        step, *_ = np.linalg.lstsq(J, -res, rcond=1e-12)
-        if not np.all(np.isfinite(step)):
-            return None
-        x = x + step
-        if np.max(np.abs(step)) <= 1e-14 * max(1.0, np.max(np.abs(x))):
-            break
-    lam, r1, r2 = x
-    F = dec.charpoly(r1, r2)
-    res = np.array([F(lam), F.deriv()(lam), F.deriv(2)(lam)])
-    if np.max(np.abs(res)) > 1e-8 * scale:
-        return None
-    return float(lam), float(r1), float(r2)
+def _jet(dec: AKDecomposition) -> np.ndarray:
+    """Ascending coefficients of D, P1, P2, Q and of their first two
+    derivatives: shape (m, 12), the derivative order outermost."""
+    polys = (dec.D, dec.P1, dec.P2, dec.Q)
+    m = max(p.coef.size for p in polys)
+    jet = np.zeros((m, 3, 4))
+    for k, p in enumerate(polys):
+        jet[: p.coef.size, 0, k] = p.coef
+    for k in range(2):
+        jet[:-1, k + 1] = np.arange(1, m)[:, None] * jet[1:, k]
+    return jet.reshape(m, 12)
+
+
+def _jet_rows(jet, lam):
+    """Rows F, F' and F'' at each lambda, shape (3, 4, lam.size): lambda
+    last, so that each column of a row is contiguous."""
+    return (jet.T @ np.vander(lam, len(jet), increasing=True).T).reshape(3, 4, -1)
+
+
+def _cusp_function(jet, lam):
+    """h = F''(lambda; rho) / (1 + |rho|^2) at both envelope points rho.
+
+    The envelope points solve F = F' = 0, in ascending rho1 (a single one
+    is both).  The divisor keeps the zeros of F'' and makes a pole of rho,
+    where F'' changes sign through infinity, a zero too.  Returns (h, size,
+    degenerate): h and size = max(|rho1|, |rho2|) per lambda and point, nan
+    where there is none, and the rows the bilinear solver cannot solve.
+    """
+    rows = _jet_rows(jet, lam)
+    sol, count, degenerate = _solve_rows(rows[0].T, rows[1].T)
+    sol[count == 0] = np.nan
+    r1, r2 = sol[..., 0], sol[..., 1]
+    c0, c1, c2, c3 = rows[2, :, :, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = (c0 + c1 * r1 + c2 * r2 + c3 * r1 * r2) / (1.0 + r1 * r1 + r2 * r2)
+    return h, np.max(np.abs(sol), axis=-1), degenerate
+
+
+def _triple_screen(rows):
+    """Candidates (lane, rho1, rho2) for F = F' = F'' = 0, linear in
+    x = (rho1, rho2, rho1 rho2): at full rank the solution if x3 = x1 x2 to
+    within 1e-4, at rank two the points of the line of solutions where
+    x3 = x1 x2, at a lower rank none."""
+    U, s, Vt = np.linalg.svd(rows[:, :, 1:])
+    keep = s > RANK_RCOND * np.maximum(s[:, :1], 1.0)
+    rank = keep.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(keep, np.einsum("kji,kj->ki", U, -rows[:, :, 0]) / s, 0.0)
+    x = np.einsum("kji,kj->ki", Vt, y)  # least squares on the kept singular values
+    scale = np.maximum(1.0, np.max(np.abs(x), axis=1))
+    full = (rank == 3) & (np.abs(x[:, 0] * x[:, 1] - x[:, 2]) <= 1e-4 * scale)
+    v = Vt[:, 2]  # the line x + t v: x1 x2 = x3 is a quadratic in t
+    qa = v[:, 0] * v[:, 1]
+    qb = x[:, 0] * v[:, 1] + x[:, 1] * v[:, 0] - v[:, 2]
+    qc = x[:, 0] * x[:, 1] - x[:, 2]
+    t, count, _ = _real_quadratic_roots(qa, qb, qc, 1e-14 * np.maximum(1.0, np.abs(qa)))
+    count = np.where(rank == 2, count, 0)
+    lane = np.concatenate([np.flatnonzero(m) for m in (full, count > 0, count > 1)])
+    t = np.concatenate([np.zeros(full.sum()), t[count > 0, 0], t[count > 1, 1]])
+    rho = x[lane, :2] + t[:, None] * v[lane, :2]
+    return lane, rho[:, 0], rho[:, 1]
+
+
+def _refine(jet, branch, a, b, ha, hb, sa, sb):
+    """Narrow the brackets (a, b) of zeros of h on the branches `branch`, in place.
+
+    ha, hb are h at the ends and sa, sb the sizes of rho there.  Each step
+    evaluates every live bracket in one call: at the points that cut it into
+    TRIPLE_SPLIT parts, and at its regula falsi point x and x +- d for d from
+    a TRIPLE_SPLIT**2-th of the bracket down to tol/2, TRIPLE_SPLIT-fold
+    apart.  The first part on which h changes sign is kept.  Where h is
+    smooth it hugs the zero and x converges superlinearly; where only the
+    sign of h is reliable it is a cut wide.  A bracket is done when narrower
+    than tol = 1e-10 max(1, |x|), and dropped when no part changes sign or
+    when rho at an end of the part kept is over twice its size at the
+    bracket's ends: rho runs off to a pole there, while at a cusp rho' = 0.
+    """
+    cuts = np.arange(1, TRIPLE_SPLIT) / TRIPLE_SPLIT
+    rungs = float(TRIPLE_SPLIT) ** -np.arange(2, 11)
+    live = np.arange(a.size)
+    while live.size:
+        al, bl, hal, hbl = a[live], b[live], ha[live], hb[live]
+        x = bl - hbl * (bl - al) / (hbl - hal)
+        tol = 1e-10 * np.maximum(1.0, np.abs(x))
+        d = np.maximum((bl - al)[:, None] * rungs, tol[:, None] / 2)
+        t = al[:, None] + (bl - al)[:, None] * cuts
+        t = np.column_stack([t, x[:, None] - d, x, x[:, None] + d])
+        t = np.sort(np.clip(t, al[:, None], bl[:, None]), axis=1)
+        ht, st, _ = _cusp_function(jet, t.ravel())
+        pick = (np.arange(live.size)[:, None], np.arange(t.shape[1]), branch[live, None])
+        ht = np.column_stack([hal, ht.reshape(t.shape + (2,))[pick], hbl])
+        st = np.column_stack([sa[live], st.reshape(t.shape + (2,))[pick], sb[live]])
+        t = np.column_stack([al, t, bl])
+        # a zero counts with the negative side; nan (no real point) brackets nothing
+        change = ((ht[:, :-1] <= 0.0) != (ht[:, 1:] <= 0.0)) & ~np.isnan(ht[:, :-1] + ht[:, 1:])
+        r, k = np.arange(live.size), np.argmax(change, axis=1)
+        kept = (t[r, k], t[r, k + 1], ht[r, k], ht[r, k + 1], st[r, k], st[r, k + 1])
+        runs_off = np.maximum(kept[4], kept[5]) > 2.0 * np.maximum(sa[live], sb[live])
+        ok = change.any(axis=1) & ~runs_off
+        live, open_ = live[ok], (kept[1] - kept[0] > tol)[ok]
+        a[live], b[live], ha[live], hb[live], sa[live], sb[live] = (e[ok] for e in kept)
+        live = live[open_]
 
 
 def triple_points(dec: AKDecomposition, lam_window: tuple[float, float]):
     """Parameter points where lambda is a triple eigenvalue.
 
-    Candidate lambdas are roots (inside the window) of the derivative-
-    determinant compatibility condition
-        G = W3(P1,P2,Q) W3(P1,P2,D) - W3(D,P2,Q) W3(P1,D,Q),
-    which typically carries them with multiplicity, so nearly-real root
-    clusters are merged.  Each candidate is screened by solving
-    F = F' = F'' = 0 as a linear system in (rho1, rho2, rho1 rho2) with the
-    product constraint enforced, polished by Newton iteration on the full
-    nonlinear system, and finally filtered by the sign of the envelope
-    discriminant (a genuine triple point sits where two double-eigenvalue
-    branches meet, not at a complex-pair pinch).
+    A triple point is a cusp of the envelope, where F'' vanishes along a
+    branch rho(lambda) of F = F' = 0.  The envelope sweep over TRIPLE_GRID
+    lambdas spanning the window brackets every sign change of h
+    (_cusp_function) on each of its two branches, and _refine narrows all
+    brackets in the same batched calls.  At each refined lambda the linear
+    screen gives (rho1, rho2), and a point is kept when F, F' and F'' there
+    are below 1e-8 of the sum of the magnitudes of their terms; that also
+    rejects what is left of the sign changes that are no zeros.  Two triple
+    points less than a grid step apart on one branch cancel in the sign test.
 
-    Returns a list of dicts with keys 'lam', 'rho1', 'rho2'.
+    Returns dicts with keys 'lam', 'rho1', 'rho2' in ascending lambda.
+    SymmetricDegeneracyError when the envelope system is degenerate at every
+    grid lambda, as on a rank-one problem.
     """
-    w3 = poly_wronskian3
-    G = w3(dec.P1, dec.P2, dec.Q) * w3(dec.P1, dec.P2, dec.D) - w3(
-        dec.D, dec.P2, dec.Q
-    ) * w3(dec.P1, dec.D, dec.Q)
-    G = G.chop(1e-10 * max(G.norm, 1.0))
-    if G.is_zero:
-        if dec.P2.is_zero and dec.Q.is_zero:
-            raise SymmetricDegeneracyError(
-                "the triple-point condition vanishes at every lambda, "
-                "as on a rank-one problem (P2 = Q = 0)"
-            )
-        raise SymmetricDegeneracyError(
-            "triple-point condition is identically zero; the configuration "
-            "has an exact symmetry and the locus is not isolated"
-        )
-    if G.degree == 0:
-        return []
-
-    # multiple roots scatter as complex clusters of radius eps^(1/m); accept
-    # a generous imaginary tolerance and merge the real parts
-    roots = poly_roots(G)
     lo, hi = lam_window
-    pad = CLUSTER_TOL * max(1.0, abs(lo), abs(hi))
-    real = sorted(
-        float(r.real)
-        for r in roots
-        if abs(r.imag) <= CLUSTER_TOL * max(1.0, abs(r))
-        and lo - pad <= r.real <= hi + pad
-    )
-    cands: list[list[float]] = []
-    for r in real:
-        if cands and abs(r - cands[-1][-1]) <= CLUSTER_TOL * max(1.0, abs(r)):
-            cands[-1].append(r)
-        else:
-            cands.append([r])
-    lams = [float(np.mean(c)) for c in cands]
-
-    disc = _envelope_discriminant(dec)
-    disc_tol = 1e-8 * max(disc.norm, 1.0)
-
-    out = []
-    for lam in lams:
-        A = np.array(
-            [
-                [dec.P1(lam), dec.P2(lam), dec.Q(lam)],
-                [dec.P1.deriv()(lam), dec.P2.deriv()(lam), dec.Q.deriv()(lam)],
-                [dec.P1.deriv(2)(lam), dec.P2.deriv(2)(lam), dec.Q.deriv(2)(lam)],
-            ]
+    jet = _jet(dec)
+    lam = np.linspace(lo, hi, TRIPLE_GRID)
+    h, size, degenerate = _cusp_function(jet, lam)
+    if degenerate.all():
+        raise SymmetricDegeneracyError(
+            "the envelope system is degenerate at every lambda, "
+            "as on a rank-one problem (P2 = Q = 0)"
         )
-        rhs = -np.array([dec.D(lam), dec.D.deriv()(lam), dec.D.deriv(2)(lam)])
-        s = np.linalg.svd(A, compute_uv=False)
-        rank = int(np.sum(s > RANK_RCOND * max(s[0], 1.0)))
-        starts = []
-        if rank == 3:
-            x = np.linalg.solve(A, rhs)
-            scale = max(1.0, abs(x[0]), abs(x[1]), abs(x[2]))
-            if abs(x[0] * x[1] - x[2]) <= 1e-4 * scale:
-                starts.append((x[0], x[1]))
-        elif rank == 2:
-            x0, *_ = np.linalg.lstsq(A, rhs, rcond=RANK_RCOND)
-            _, _, Vt = np.linalg.svd(A)
-            nv = Vt[-1]
-            # (x0 + t n) must satisfy x1 x2 = x3: quadratic in t
-            qa = nv[0] * nv[1]
-            qb = x0[0] * nv[1] + x0[1] * nv[0] - nv[2]
-            qc = x0[0] * x0[1] - x0[2]
-            ts, count, _ = _real_quadratic_roots(qa, qb, qc, 1e-14 * max(1.0, abs(qa)))
-            for t in ts[:count]:
-                x = x0 + t * nv
-                starts.append((x[0], x[1]))
-        # rank <= 1: underdetermined beyond repair, skip
-        for r1, r2 in starts:
-            polished = _triple_newton(dec, lam, r1, r2)
-            if polished is None:
-                continue
-            plam, pr1, pr2 = polished
-            if not (lo <= plam <= hi):
-                continue
-            if disc(plam) < -disc_tol:
-                continue
-            if any(
-                abs(plam - o["lam"]) <= 1e-6
-                and abs(pr1 - o["rho1"]) <= 1e-6
-                and abs(pr2 - o["rho2"]) <= 1e-6
-                for o in out
-            ):
-                continue
-            out.append({"lam": plam, "rho1": pr1, "rho2": pr2})
+    # where the two points swap their rho1 order, h jumps from one to the
+    # other: the pair is continuous crosswise, and the sign change no zero
+    straight = np.abs(h[1:] - h[:-1]).sum(axis=1, keepdims=True)
+    crossed = np.abs(h[1:, ::-1] - h[:-1]).sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        flips = (np.sign(h[:-1]) * np.sign(h[1:]) < 0) & ~(crossed < 0.5 * straight)
+    i, branch = np.nonzero(flips)
+    a, b, ha, hb = lam[i], lam[i + 1], h[i, branch], h[i + 1, branch]
+    _refine(jet, branch, a, b, ha, hb, size[i, branch], size[i + 1, branch])
+    x = b - hb * (b - a) / (hb - ha)
+
+    rows = _jet_rows(jet, x)
+    lane, r1, r2 = _triple_screen(rows.transpose(2, 0, 1))
+    lam = x[lane]
+    mono = np.array([np.ones_like(r1), r1, r2, r1 * r2])
+    res = np.einsum("ikm,km->im", rows[..., lane], mono)
+    terms = np.einsum("ikm,km->im", _jet_rows(np.abs(jet), np.abs(lam)), np.abs(mono))
+    keep = np.all(np.abs(res) <= 1e-8 * terms, axis=0) & (lo <= lam) & (lam <= hi)
+    out = []
+    for p in sorted(zip(lam[keep].tolist(), r1[keep].tolist(), r2[keep].tolist())):
+        q = {"lam": p[0], "rho1": p[1], "rho2": p[2]}
+        if all(max(abs(q[key] - o[key]) for key in q) > 1e-6 for o in out):
+            out.append(q)
     return out

@@ -81,22 +81,6 @@ def _coef(p):
     return p.coef if isinstance(p, Poly) else np.atleast_1d(np.asarray(p, float))
 
 
-def poly_wronskian(f: Poly, g: Poly) -> Poly:
-    """f ∧ g = f g' - f' g."""
-    return f * g.deriv() - f.deriv() * g
-
-
-def poly_wronskian3(f: Poly, g: Poly, h: Poly) -> Poly:
-    """3x3 determinant of [f g h; f' g' h'; f'' g'' h'']."""
-    f1, g1, h1 = f.deriv(), g.deriv(), h.deriv()
-    f2, g2, h2 = f1.deriv(), g1.deriv(), h1.deriv()
-    return (
-        f * (g1 * h2 - h1 * g2)
-        - g * (f1 * h2 - h1 * f2)
-        + h * (f1 * g2 - g1 * f2)
-    )
-
-
 def poly_roots(p: Poly) -> np.ndarray:
     """All complex roots via companion-matrix eigensolve."""
     if p.is_zero:

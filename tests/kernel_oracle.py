@@ -1,7 +1,8 @@
 """Oracles for the kernel tests that the library itself does not use.
 
 resultant decides whether two polynomials share a root by the determinant of
-their Sylvester matrix, without computing any root.
+their Sylvester matrix, without computing any root.  poly_wronskian is the
+derivative wedge that the curve oracles build their Cramer solutions from.
 """
 
 import numpy as np
@@ -28,3 +29,8 @@ def resultant(p: Poly, q: Poly) -> float:
     # a subnormal coefficient) takes log(0) and warns, though det = 0 is exact
     with np.errstate(divide="ignore"):
         return float(np.linalg.det(S))
+
+
+def poly_wronskian(f: Poly, g: Poly) -> Poly:
+    """f ∧ g = f g' - f' g."""
+    return f * g.deriv() - f.deriv() * g

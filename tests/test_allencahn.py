@@ -523,12 +523,22 @@ class TestCountsOnly:
     def test_count_rejects_non_finite_end(self, lo, hi, monkeypatch):
         called = []
         monkeypatch.setattr(
-            scipy.linalg, "eigvalsh_tridiagonal", lambda *a, **kw: called.append(1)
+            scipy.linalg.lapack, "dstebz", lambda *a, **kw: called.append(1)
         )
         op = cubic_operator(0.5, n=200)
         with pytest.raises(ValueError, match="not finite"):
             op.count_eigvals(lo, hi)
         assert called == []
+
+    def test_count_failure_raises(self, monkeypatch):
+        # stebz reports a failed count through info; it must not pass as a count
+        real = scipy.linalg.lapack.dstebz
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dstebz", lambda *a: real(*a)[:4] + (1,)
+        )
+        op = cubic_operator(0.5, n=200)
+        with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+            op.count_eigvals(-1.0, 1.0)
 
     @pytest.mark.parametrize(
         "lam",

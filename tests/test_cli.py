@@ -18,6 +18,7 @@ from spectral_atlas.phase import phase_grid
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
 
 from allencahn_oracle import direct_inner
+from curves_oracle import generic_problem
 
 
 def run(argv, capsys):
@@ -416,6 +417,15 @@ class TestSubcommands:
         pts = json.loads(out)["triple_points"]
         got = sorted((round(p["rho1"], 6), round(p["rho2"], 6)) for p in pts)
         assert got == [(-1.5, -0.5), (-0.5, -1.5)]
+
+    def test_triples_generic_problem(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(generic_problem(np.random.default_rng(7), 4).to_json())
+        code, out, _ = run(["triples", "--input", str(path), "--lambda-window", " -6:0.5"], capsys)
+        assert code == 0
+        pts = json.loads(out)["triple_points"]
+        got = [(round(p["lam"], 7), round(p["rho1"], 6), round(p["rho2"], 6)) for p in pts]
+        assert got == [(-2.0112593, 0.564759, -0.381603), (-1.7260382, 1.272827, 0.923097)]
 
     def test_phase_counts_match_library(self, capsys):
         code, out, _ = run(

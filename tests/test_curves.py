@@ -26,7 +26,7 @@ from spectral_atlas.kernel import Poly
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.presets import SQRT2, example1
 
-from curves_oracle import envelope_q_zero, genericity_check
+from curves_oracle import envelope_q_zero, generic_problem, genericity_check, triple_points_mp
 
 LAMSTAR = -2.0 + SQRT2 / 2.0
 
@@ -401,8 +401,8 @@ class TestTriplePoints:
             assert np.all(close[:3] < 1e-3)
 
     def test_spurious_candidate_rejected(self, dec):
-        # the compatibility condition also vanishes near lambda = -2.354,
-        # where no real triple point exists
+        # an elimination polynomial of F = F' = F'' = 0 also vanishes near
+        # lambda = -2.354, where no real triple point exists
         tps = triple_points(dec, (-4.0, 0.0))
         assert all(abs(t["lam"] + 2.3539) > 0.5 for t in tps)
 
@@ -412,6 +412,45 @@ class TestTriplePoints:
         d = AKDecomposition(Poly([1.0, 2.0, 1.0]), zero, zero, zero)
         with pytest.raises(SymmetricDegeneracyError):
             triple_points(d, (-2.0, 0.0))
+
+    def test_generic_problem_matches_oracle(self):
+        prob = generic_problem(np.random.default_rng(7), 4)
+        pts = triple_points(decompose_cofactor(prob), (-6.0, 0.5))
+        got = [(t["lam"], t["rho1"], t["rho2"]) for t in pts]
+        want = triple_points_mp(prob, (-6.0, 0.5))
+        assert [(round(l, 7), round(r1, 6), round(r2, 6)) for l, r1, r2 in want] == [
+            (-2.0112593, 0.564759, -0.381603),
+            (-1.7260382, 1.272827, 0.923097),
+        ]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generic_points_are_triple_eigenvalues(self, seed):
+        prob = generic_problem(np.random.default_rng(seed), 4 + seed % 5)
+        pts = triple_points(decompose_cofactor(prob), (-6.0, 0.5))
+        for t in pts:
+            assert -6.0 <= t["lam"] <= 0.5
+            ev = np.linalg.eigvals(perturbed_matrix(prob, t["rho1"], t["rho2"]))
+            near = ev[np.argsort(np.abs(ev - t["lam"]))[:3]]
+            # the eigensolver splits a triple eigenvalue by about the cube
+            # root of its backward error, but moves their mean by the error
+            assert np.all(np.abs(near - t["lam"]) < 0.05)
+            assert abs(near.mean() - t["lam"]) < 1e-4
+        key = np.array([(t["lam"], t["rho1"], t["rho2"]) for t in pts]).reshape(-1, 3)
+        gaps = np.abs(key[:, None] - key[None]).max(axis=-1) + np.eye(len(key))
+        assert np.all(gaps > 1e-6)  # each point reported once
+
+    @pytest.mark.parametrize("seed", [5, 15])
+    def test_generic_points_complete(self, seed):
+        prob = generic_problem(np.random.default_rng(seed), 4 + seed % 5)
+        want = triple_points_mp(prob, (-6.0, 0.5))
+        for lam, r1, r2 in want:
+            ev = np.sort(np.abs(np.linalg.eigvals(perturbed_matrix(prob, r1, r2)) - lam))
+            assert ev[2] < 1e-3 and ev[3] > 0.1
+        pts = triple_points(decompose_cofactor(prob), (-6.0, 0.5))
+        got = [(t["lam"], t["rho1"], t["rho2"]) for t in pts]
+        assert len(want) >= 2 and len(got) == len(want)
+        assert np.allclose(got, want, rtol=1e-7, atol=1e-8)
 
 
 class TestCsv:

