@@ -214,26 +214,16 @@ def table_csv(header: str, comment: str, columns) -> str:
 
 def branches_svg(branches, width: int = 640, height: int = 480) -> str:
     """Minimal inspection plot: axes plus one polyline per branch segment."""
-    pts = [
-        (p.rho2, p.rho1)
-        for br in branches
-        for p in br.points
-        if np.isfinite(p.rho1) and np.isfinite(p.rho2)
-    ]
-    if not pts:
+    finite = [np.isfinite(br.rho1) & np.isfinite(br.rho2) for br in branches]
+    xs = [x for br, ok in zip(branches, finite) for x in br.rho2[ok].tolist()]
+    ys = [y for br, ok in zip(branches, finite) for y in br.rho1[ok].tolist()]
+    if not xs:
         raise ConfigError("nothing to plot")
-    xs, ys = zip(*pts)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     xspan = (x1 - x0) or 1.0
     yspan = (y1 - y0) or 1.0
     m = 40  # margin
-
-    def sx(x):
-        return m + (x - x0) / xspan * (width - 2 * m)
-
-    def sy(y):
-        return height - m - (y - y0) / yspan * (height - 2 * m)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -245,26 +235,19 @@ def branches_svg(branches, width: int = 640, height: int = 480) -> str:
         f"rho1 in [{y0:.4g}, {y1:.4g}]</text>",
     ]
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    for i, br in enumerate(branches):
-        # break the polyline at parameter gaps and non-finite points; every
-        # gap starts at a kept point (curves.gap_intervals), so the polyline
-        # breaks after the point whose parameter opens a gap
-        gap_starts = {lo for lo, _ in br.gaps}
-        segs: list[list[tuple[float, float]]] = [[]]
-        prev = None
-        for p in br.points:
-            if not (np.isfinite(p.rho1) and np.isfinite(p.rho2)):
-                segs.append([])
-                prev = None
+    for i, (br, ok) in enumerate(zip(branches, finite)):
+        sx = m + (br.rho2 - x0) / xspan * (width - 2 * m)
+        sy = height - m - (br.rho1 - y0) / yspan * (height - 2 * m)
+        # a polyline ends at a non-finite point, which it skips, and after
+        # the point whose parameter opens a gap; every gap starts at a kept
+        # point (curves.gap_intervals)
+        ends = ~ok | np.isin(br.parameter, [lo for lo, _ in br.gaps])
+        for seg in np.split(np.arange(ok.size), np.flatnonzero(ends[:-1] | ~ok[1:]) + 1):
+            seg = seg[ok[seg]]
+            if seg.size < 2:
                 continue
-            if prev in gap_starts:
-                segs.append([])
-            segs[-1].append((sx(p.rho2), sy(p.rho1)))
-            prev = p.parameter
-        for seg in segs:
-            if len(seg) < 2:
-                continue
-            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
+            pts = zip(sx[seg].tolist(), sy[seg].tolist())
+            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
             parts.append(
                 f'<polyline points="{path}" fill="none" '
                 f'stroke="{colors[i % len(colors)]}" stroke-width="1.5"/>'
@@ -286,7 +269,7 @@ def emit_branches(branches, parameter: str, args) -> None:
                         "kind": br.kind,
                         "branch": br.branch,
                         "gaps": [list(g) for g in br.gaps],
-                        "points": [[p.parameter, p.rho1, p.rho2] for p in br.points],
+                        "points": np.column_stack([br.parameter, br.rho1, br.rho2]).tolist(),
                     }
                     for br in branches
                 ],

@@ -182,12 +182,16 @@ def continuum_envelope(
 ) -> CurveBranch:
     """Envelope curve swept over omega; asymptote intervals become gaps.
 
-    Samples where N1 ^ N2 vanishes to within 1e-9 of its terms are dropped;
-    a sign change of N1 ^ N2 between samples is a break.
+    Samples where N1 ^ N2 vanishes to within 1e-9 of its terms are dropped,
+    and so are those where rho or N1 ^ N2 is not finite (sinh and cosh
+    overflow from omega ~ 712); a sign change of N1 ^ N2 between samples is
+    a break.
     """
     om = np.asarray(omega_samples, float)
-    r1, r2, lamN, scale = _envelope(spec, branch, om)
-    kept = ~(np.abs(lamN) <= 1e-9 * np.maximum(scale, 1e-300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2, lamN, scale = _envelope(spec, branch, om)
+    finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(lamN)
+    kept = finite & ~(np.abs(lamN) <= 1e-9 * np.maximum(scale, 1e-300))
     sign = np.sign(lamN)
     breaks = np.concatenate([[False], sign[1:] != sign[:-1]])
     return grid_branch(

@@ -32,13 +32,26 @@ class CurvePoint:
     rho2: float
 
 
-@dataclass
+@dataclass(eq=False)
 class CurveBranch:
+    """One curve branch: its kept grid values as three float columns, and
+    the gaps of the sweep."""
+
     kind: str
     branch: str
     parameter_name: str
-    points: list[CurvePoint] = field(default_factory=list)
+    parameter: np.ndarray
+    rho1: np.ndarray
+    rho2: np.ndarray
     gaps: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def points(self) -> list[CurvePoint]:
+        """The kept grid values as CurvePoints, built from the columns."""
+        return [
+            CurvePoint(self.kind, self.branch, *v)
+            for v in zip(self.parameter.tolist(), self.rho1.tolist(), self.rho2.tolist())
+        ]
 
 
 def branches_to_csv(branches: list[CurveBranch]) -> str:
@@ -52,8 +65,9 @@ def branches_to_csv(branches: list[CurveBranch]) -> str:
         buf.write(f"# branch {br.kind}/{br.branch} parameter={br.parameter_name}\n")
         for lo, hi in br.gaps:
             buf.write(f"# gap {lo!r} {hi!r}\n")
-        for p in br.points:
-            buf.write(f"{p.kind},{p.branch},{p.parameter!r},{p.rho1!r},{p.rho2!r}\n")
+        head = f"{br.kind},{br.branch},"
+        cols = (br.parameter.tolist(), br.rho1.tolist(), br.rho2.tolist())
+        buf.writelines(f"{head}{t!r},{r1!r},{r2!r}\n" for t, r1, r2 in zip(*cols))
     return buf.getvalue()
 
 
@@ -75,11 +89,8 @@ def grid_branch(
 ) -> CurveBranch:
     """Branch of the kept grid points, with the gaps of gap_intervals."""
     t = np.asarray(t, float)
-    points = [
-        CurvePoint(kind, branch, *v)
-        for v in zip(t[kept].tolist(), rho1[kept].tolist(), rho2[kept].tolist())
-    ]
-    return CurveBranch(kind, branch, parameter_name, points, gap_intervals(t, kept, breaks))
+    gaps = gap_intervals(t, kept, breaks)
+    return CurveBranch(kind, branch, parameter_name, t[kept], rho1[kept], rho2[kept], gaps)
 
 
 # ---------------------------------------------------------------------------

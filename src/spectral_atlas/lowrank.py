@@ -184,35 +184,90 @@ def vectors_parallel(u, v, tol: float = PARALLEL_TOL) -> bool:
     return bool(np.linalg.norm(rej) <= tol)
 
 
+def _cheb2poly_rows(c: np.ndarray) -> np.ndarray:
+    """npc.cheb2poly of each row of c, (k, N) -> (k, N), in one recurrence.
+
+    It performs numpy's operations in numpy's order (the polymulx shift
+    with c[0]*0 in front, the *2, then polyadd and polysub on the entries
+    the two operands share), so each row gets the bits cheb2poly gives it.
+    cheb2poly trims zero leading coefficients off its input and off every
+    intermediate.  Here the last column, det(A - lambda I)'s leading
+    coefficient times 2**(1-n), is nonzero; then no intermediate has a zero
+    leading entry, and there is nothing to trim.
+    """
+    N = c.shape[1]
+    if N < 3:
+        return c.copy()
+
+    def mulx(v):
+        return np.concatenate([v[:, :1] * 0, v], axis=1)
+
+    c0, c1 = c[:, N - 2 : N - 1], c[:, N - 1 :]
+    for i in range(N - 1, 1, -1):
+        tmp, c0 = c0, -c1
+        c0[:, 0] += c[:, i - 2]
+        c1 = mulx(c1) * 2
+        c1[:, : tmp.shape[1]] += tmp
+    out = mulx(c1)
+    out[:, : c0.shape[1]] += c0
+    return out
+
+
 def _det_charpoly(A: np.ndarray, radius: float) -> np.ndarray:
-    """Ascending coefficients of det(A - lambda I) by Chebyshev interpolation."""
-    n = A.shape[0]
+    """Ascending coefficients of det(A - lambda I) by Chebyshev interpolation.
+
+    A is one matrix or a stack (..., n, n); the result has shape (..., n+1).
+    Every matrix is sampled at the n+1 Chebyshev nodes in one determinant
+    call, and each row of samples is fitted on its own: one chebfit per row
+    gives the same bits as one per matrix, where one least-squares call
+    over all rows does not.  When a sample is not finite every coefficient
+    is nan and no fit is made: LAPACK's least squares fails on such rows.
+    """
+    n = A.shape[-1]
     nodes = np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * (n + 1)))
     xs = radius * nodes
-    ys = np.linalg.det(A - xs[:, None, None] * np.eye(n))
-    cheb = npc.chebfit(xs, ys, n)
-    return npc.cheb2poly(cheb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = np.linalg.det(A[..., None, :, :] - xs[:, None, None] * np.eye(n))
+    if not np.all(np.isfinite(ys)):
+        return np.full(ys.shape, np.nan)
+    cheb = np.array([npc.chebfit(xs, y, n) for y in ys.reshape(-1, n + 1)])
+    return _cheb2poly_rows(cheb).reshape(ys.shape)
+
+
+# basis settings (rho1, rho2) of the interpolated determinants d00, d10,
+# d01, d11; a rank-one problem takes the first two
+_BASIS_RHO = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
 
 
 def decompose_cofactor(p: LowRankProblem) -> AKDecomposition:
     """Four-polynomial decomposition via determinant interpolation.
 
     det(Mt - lambda I) is sampled at N+1 Chebyshev nodes for each of the
-    basis settings (rho1, rho2) in {(0,0),(1,0),(0,1),(1,1)} and the four
-    polynomials are recovered by differencing the interpolants.
-    """
-    n = p.n
-    radius = 2.0 * p.scale + 1.0
-    chop = 1e-13 * max(1.0, p.scale) ** n * (n + 1)
+    basis settings (rho1, rho2) in {(0,0),(1,0),(0,1),(1,1)}, all in one
+    stacked determinant call, and the four polynomials are recovered by
+    differencing the interpolants.
 
-    d00 = _det_charpoly(perturbed_matrix(p, 0.0, 0.0), radius)
-    d10 = _det_charpoly(perturbed_matrix(p, 1.0, 0.0), radius)
+    FloatingPointError when scale**N, a sample or a coefficient is not finite.
+    """
+    n, scale = p.n, p.scale
+    overflow = FloatingPointError(
+        f"determinant interpolation overflows for n = {n} at scale {scale:.6g}"
+    )
+    radius = 2.0 * scale + 1.0
+    try:
+        chop = 1e-13 * max(1.0, scale) ** n * (n + 1)
+    except OverflowError:
+        raise overflow from None
+    d = _det_charpoly(perturbed_matrix(p, *_BASIS_RHO[:, :2 * p.rank]), radius)
+    if not np.all(np.isfinite(d)):
+        raise overflow
+
+    d00, d10 = d[0], d[1]
     D = Poly(d00)
     P1 = Poly(d10 - d00)
     if p.rank == 1:
         return AKDecomposition(D, P1.chop(chop), Poly.zero(), Poly.zero())
-    d01 = _det_charpoly(perturbed_matrix(p, 0.0, 1.0), radius)
-    d11 = _det_charpoly(perturbed_matrix(p, 1.0, 1.0), radius)
+    d01, d11 = d[2], d[3]
     P2 = Poly(d01 - d00)
     Q = Poly(d11 - d10 - d01 + d00)
     if vectors_parallel(p.g1, p.g2) or vectors_parallel(p.f1, p.f2):

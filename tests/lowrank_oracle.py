@@ -4,13 +4,23 @@ decompose_spectral builds the four polynomials from the eigenbasis of a
 symmetric base matrix, and ak_value evaluates the eigenvalue condition in
 resolvent form by an LU solve.  Neither goes through the determinant
 interpolation with which lowrank.decompose_cofactor builds them.
+
+decompose_per_basis is the reference for the bits of decompose_cofactor:
+the same interpolation, one determinant call, one chebfit and one numpy
+cheb2poly per basis setting.
 """
 
 import numpy as np
+import numpy.polynomial.chebyshev as npc
 import scipy.linalg
 
 from spectral_atlas.kernel import Poly
-from spectral_atlas.lowrank import AKDecomposition, LowRankProblem, vectors_parallel
+from spectral_atlas.lowrank import (
+    AKDecomposition,
+    LowRankProblem,
+    perturbed_matrix,
+    vectors_parallel,
+)
 
 
 class SingularResolventError(ValueError):
@@ -101,3 +111,34 @@ def ak_value(
         r21 = np.dot(p.g2, x1)
         out = out + rho2 * r22 + rho1 * rho2 * (r11 * r22 - r12 * r21)
     return out
+
+
+def _det_charpoly_one(A: np.ndarray, radius: float) -> np.ndarray:
+    """Ascending coefficients of det(A - lambda I) by Chebyshev interpolation."""
+    n = A.shape[0]
+    nodes = np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * (n + 1)))
+    xs = radius * nodes
+    ys = np.linalg.det(A - xs[:, None, None] * np.eye(n))
+    cheb = npc.chebfit(xs, ys, n)
+    return npc.cheb2poly(cheb)
+
+
+def decompose_per_basis(p: LowRankProblem) -> AKDecomposition:
+    """decompose_cofactor's interpolation with one call chain per basis setting."""
+    n = p.n
+    radius = 2.0 * p.scale + 1.0
+    chop = 1e-13 * max(1.0, p.scale) ** n * (n + 1)
+
+    d00 = _det_charpoly_one(perturbed_matrix(p, 0.0, 0.0), radius)
+    d10 = _det_charpoly_one(perturbed_matrix(p, 1.0, 0.0), radius)
+    D = Poly(d00)
+    P1 = Poly(d10 - d00)
+    if p.rank == 1:
+        return AKDecomposition(D, P1.chop(chop), Poly.zero(), Poly.zero())
+    d01 = _det_charpoly_one(perturbed_matrix(p, 0.0, 1.0), radius)
+    d11 = _det_charpoly_one(perturbed_matrix(p, 1.0, 1.0), radius)
+    P2 = Poly(d01 - d00)
+    Q = Poly(d11 - d10 - d01 + d00)
+    if vectors_parallel(p.g1, p.g2) or vectors_parallel(p.f1, p.f2):
+        Q = Poly.zero()
+    return AKDecomposition(D, P1.chop(chop), P2.chop(chop), Q.chop(chop))

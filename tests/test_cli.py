@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectral_atlas import allencahn, cli
+from spectral_atlas import allencahn, cli, curves
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor
 from spectral_atlas.phase import phase_grid
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
@@ -837,3 +837,183 @@ class TestReadme:
             "decompose", "curve", "envelope", "hopf", "triples", "phase",
             "integrator", "continuum", "rs",
         }
+
+
+# ---------------------------------------------------------------------------
+# the row writers that the column writers of curve branches replaced
+
+
+def old_branches_to_csv(branches):
+    """The row-by-row curves.branches_to_csv, reading br.points."""
+    lines = ["kind,branch,parameter,rho1,rho2"]
+    for br in branches:
+        lines.append(f"# branch {br.kind}/{br.branch} parameter={br.parameter_name}")
+        lines.extend(f"# gap {lo!r} {hi!r}" for lo, hi in br.gaps)
+        lines.extend(
+            f"{p.kind},{p.branch},{p.parameter!r},{p.rho1!r},{p.rho2!r}" for p in br.points
+        )
+    return "\n".join(lines) + "\n"
+
+
+def old_branches_svg(branches, width=640, height=480):
+    """The point-by-point cli.branches_svg, reading br.points."""
+    pts = [
+        (p.rho2, p.rho1)
+        for br in branches
+        for p in br.points
+        if np.isfinite(p.rho1) and np.isfinite(p.rho2)
+    ]
+    if not pts:
+        raise cli.ConfigError("nothing to plot")
+    xs, ys = zip(*pts)
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    xspan = (x1 - x0) or 1.0
+    yspan = (y1 - y0) or 1.0
+    m = 40
+
+    def sx(x):
+        return m + (x - x0) / xspan * (width - 2 * m)
+
+    def sy(y):
+        return height - m - (y - y0) / yspan * (height - 2 * m)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{m}" y1="{height - m}" x2="{width - m}" y2="{height - m}" stroke="black"/>',
+        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{height - m}" stroke="black"/>',
+        f'<text x="{width // 2}" y="{height - 8}" font-size="12">rho2 in [{x0:.4g}, {x1:.4g}]</text>',
+        f'<text x="8" y="{height // 2}" font-size="12" transform="rotate(-90 12 {height // 2})">'
+        f"rho1 in [{y0:.4g}, {y1:.4g}]</text>",
+    ]
+    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
+    for i, br in enumerate(branches):
+        gap_starts = {lo for lo, _ in br.gaps}
+        segs = [[]]
+        prev = None
+        for p in br.points:
+            if not (np.isfinite(p.rho1) and np.isfinite(p.rho2)):
+                segs.append([])
+                prev = None
+                continue
+            if prev in gap_starts:
+                segs.append([])
+            segs[-1].append((sx(p.rho2), sy(p.rho1)))
+            prev = p.parameter
+        for seg in segs:
+            if len(seg) < 2:
+                continue
+            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
+            parts.append(
+                f'<polyline points="{path}" fill="none" '
+                f'stroke="{colors[i % len(colors)]}" stroke-width="1.5"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def old_emit_branches(branches, parameter, args):
+    """cli.emit_branches with the row writers above."""
+    if args.format == "csv":
+        head = f"# dimensionless (rho1, rho2) curves parametrized by {parameter}\n"
+        cli.emit(head + old_branches_to_csv(branches), args)
+    elif args.format == "json":
+        rep = {
+            "parameter": parameter,
+            "branches": [
+                {
+                    "kind": br.kind,
+                    "branch": br.branch,
+                    "gaps": [list(g) for g in br.gaps],
+                    "points": [[p.parameter, p.rho1, p.rho2] for p in br.points],
+                }
+                for br in branches
+            ],
+        }
+        cli.emit_json(rep, args)
+    else:
+        cli.emit(old_branches_svg(branches), args)
+
+
+class TestBranchWriters:
+    """The column writers of curve branches print the bytes of the row
+    writers they replaced."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "--preset", "example1"],
+            ["envelope", "--preset", "ag_in", "--lambda-range", " -400:-0.5:300"],
+            ["hopf", "--preset", "example1"],
+            ["hopf", "--preset", "ag_normal"],
+            ["curve", "--preset", "example1", "--lambda", "-1.5"],
+            ["curve", "--preset", "example1", "--lambda", "-2", "--rho2-range", " -3:2:11"],
+            ["continuum", "envelope", "--omega-range", " 1:14:200"],
+            ["continuum", "envelope", "--branch", "hyper", "--omega-range", " 0.05:20:400"],
+            # every sample dropped: an empty branch
+            ["continuum", "envelope", "--branch", "hyper", "--omega-range", " 100:700:50"],
+        ],
+        ids=shlex.join,
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_commands_byte_identical_to_row_writers(self, argv, fmt, capsys, monkeypatch):
+        argv = argv + ["--format", fmt]
+        got = run(argv, capsys)
+        # an empty branch has nothing to plot
+        assert got[0] == 0 or (fmt == "svg" and "nothing to plot" in got[2])
+        monkeypatch.setattr(cli, "emit_branches", old_emit_branches)
+        assert run(argv, capsys) == got
+
+    def test_gaps_and_non_finite_points(self, monkeypatch):
+        # hand-made branches: gaps, a break, non-finite values and an empty one
+        t = np.linspace(-1.0, 2.0, 13)
+        r1 = np.sin(3.0 * t)
+        r1[[2, 7]] = [np.nan, np.inf]
+        r2 = np.cos(2.0 * t)
+        kept = np.ones(13, bool)
+        kept[[4, 10]] = False
+        breaks = np.zeros(13, bool)
+        breaks[8] = True
+        brs = [
+            curves.grid_branch("k", "a", "p", t, r1, r2, kept, breaks),
+            curves.grid_branch("k", "b", "p", t, -r2, r1, kept),
+            curves.grid_branch("k", "c", "p", t, r1, r2, np.zeros(13, bool)),
+        ]
+        assert brs[0].gaps and not brs[2].points
+        assert curves.branches_to_csv(brs) == old_branches_to_csv(brs)
+        assert cli.branches_svg(brs) == old_branches_svg(brs)
+        out = []
+        monkeypatch.setattr(cli, "emit", lambda text, args: out.append(text))
+        for fmt in ("json", "svg"):
+            args = argparse.Namespace(format=fmt, output=None)
+            cli.emit_branches(brs, "p", args)
+            old_emit_branches(brs, "p", args)
+            assert out[-2] == out[-1]
+
+
+class TestOverflowExits:
+    @pytest.mark.parametrize("command", ["decompose", "triples", "envelope"])
+    def test_large_scale_input_is_3(self, tmp_path, capsys, command):
+        # scale**n overflows: a numeric failure that names n and the scale
+        path = tmp_path / "big.json"
+        spec = {"M": [[1e200, 0.0], [0.0, 1.0]], "f1": [1.0, 0.0], "g1": [0.0, 1.0]}
+        path.write_text(json.dumps({**spec, "f2": [0.0, 1.0], "g2": [1.0, 0.0]}))
+        code, out, err = run([command, "--input", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert "n = 2" in err and "1e+200" in err
+
+    def test_hyper_branch_beyond_sinh_overflow(self, capsys):
+        # from omega ~ 712 sinh overflows and N1 ^ N2 is inf - inf
+        argv = ["continuum", "envelope", "--branch", "hyper", "--omega-range", " 700:2000:2001"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert "nan" not in out and "inf" not in out
+
+        def no_constant(name):
+            raise ValueError(f"JSON constant {name}")
+
+        code, out, err = run(argv + ["--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        rep = json.loads(out, parse_constant=no_constant)
+        assert rep["branches"][0]["kind"] == "continuum-envelope-hyper"

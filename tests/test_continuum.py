@@ -372,3 +372,14 @@ class TestQuadrantLemma:
         with pytest.raises(ZeroDivisionError):
             quadrant_sign_check(spec, 2.0, 0.3, 0.6)
         assert quadrant_sign_check(spec, 2.0, 0.2, 0.6)[0] < 0
+
+
+class TestHyperOverflow:
+    def test_only_finite_samples_kept(self, spec):
+        # sinh overflows from omega ~ 712: N1 ^ N2 is inf - inf = nan there,
+        # and no sample of it may be kept, nor warn
+        grid = np.linspace(700.0, 2000.0, 2001)
+        br = continuum_envelope(spec, grid, "hyper")
+        assert np.isfinite(br.rho1).all() and np.isfinite(br.rho2).all()
+        assert br.parameter.size == 0 or br.parameter.max() < 713.0
+        assert all(hi < 713.0 for _, hi in br.gaps)

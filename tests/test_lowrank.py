@@ -18,6 +18,9 @@ from spectral_atlas.lowrank import _det_charpoly
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
 
 from lowrank_oracle import SingularResolventError, ak_value, decompose_spectral
+from lowrank_oracle import decompose_per_basis
+from curves_oracle import generic_problem
+from spectral_atlas.integrator import build_network
 
 
 def random_problem(rng, n=5, rank=2, symmetric=False):
@@ -275,3 +278,75 @@ class TestDecompositionJson:
         d = json.loads(text)
         assert sorted(d) == ["D", "P1", "P2", "Q", "max_route_diff"]
         assert d["max_route_diff"] == 0.5
+
+
+def per_basis_corpus(family: str):
+    """Seeded problems of one family for the comparison with the per-basis
+    route: the presets, random well-scaled ones with n = 2..9, integer ones
+    with exact zeros (n = 1..8), rank-one ones, and ones with parallel f's
+    or g's."""
+    if family == "presets":
+        return [example1(), build_network(preset="ag_normal"), build_network(preset="ag_in")]
+    rng = np.random.default_rng(["random", "integer", "rank_one", "parallel"].index(family))
+    if family == "random":
+        return [generic_problem(rng, int(n)) for n in rng.integers(2, 10, 80)]
+    out = []
+    for i, n in enumerate(rng.integers(1, 9, 60).tolist()):
+        M = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.5)
+        f1, g1, f2, g2 = rng.integers(-2, 3, (4, n)).astype(float)
+        if family == "integer":
+            out.append(LowRankProblem(M, f1, g1, f2, g2))
+        elif family == "rank_one":
+            M = M if i % 2 else M + 0.3 * rng.standard_normal((n, n))
+            out.append(LowRankProblem(M, f1, g1))
+        elif i % 2:
+            out.append(LowRankProblem(M, f1, g1, -2.0 * f1, g2))
+        else:
+            out.append(LowRankProblem(M, f1, g1, f2, 0.5 * g1))
+    return out
+
+
+class TestStackedRoute:
+    """decompose_cofactor samples every basis setting in one determinant
+    call and converts all interpolants in one recurrence; the result must
+    have the bits of the per-basis route."""
+
+    @pytest.mark.parametrize("family", ["presets", "random", "integer", "rank_one", "parallel"])
+    def test_json_equals_per_basis_route(self, family):
+        for p in per_basis_corpus(family):
+            assert decompose_cofactor(p).to_json() == decompose_per_basis(p).to_json()
+
+    def test_rank_one_path(self):
+        for p in per_basis_corpus("rank_one"):
+            dec = decompose_cofactor(p)
+            assert dec.P2.is_zero and dec.Q.is_zero
+            assert dec.D.coef.tolist() == decompose_per_basis(p).D.coef.tolist()
+
+    def test_stack_equals_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((2, 3, 6, 6))
+        got = _det_charpoly(A, 7.5)
+        assert got.shape == (2, 3, 7)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j].tolist() == _det_charpoly(A[i, j], 7.5).tolist()
+
+
+class TestOverflow:
+    def big(self, s):
+        e = np.eye(2)
+        return LowRankProblem([[s, 0.0], [0.0, 1.0]], e[0], e[1], e[1], e[0])
+
+    def test_scale_power_overflow_raises(self):
+        # scale**n itself overflows
+        with pytest.raises(FloatingPointError, match=r"n = 2 at scale 1e\+200"):
+            decompose_cofactor(self.big(1e200))
+
+    def test_sample_overflow_raises(self):
+        # scale**n = 1e308 is finite, det at the nodes is not
+        with pytest.raises(FloatingPointError, match=r"n = 2 at scale 1e\+154"):
+            decompose_cofactor(self.big(1e154))
+
+    def test_non_finite_sample_gives_nan_coefficients(self):
+        A = np.array([[[1e154, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        assert np.isnan(_det_charpoly(A, 3e154)).all()
