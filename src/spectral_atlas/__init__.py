@@ -1,7 +1,7 @@
 """Spectral phase portraits of rank-one and rank-two matrix perturbations.
 
 Subpackage map:
-  kernel     - polynomial algebra and roots, elliptic functions
+  kernel     - polynomial values, derivatives and roots, elliptic functions
   lowrank    - the four-polynomial determinant decomposition
   curves     - constant-eigenvalue, envelope, Hopf and triple-point loci
   phase      - region classification over the (rho1, rho2) plane

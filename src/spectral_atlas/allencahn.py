@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernel import Poly, elliptic_K_E, jacobi_sn_cn_dn, poly_roots
+from .kernel import Poly, derivative, elliptic_K_E, horner, jacobi_sn_cn_dn, poly_roots
 
 
 class IndeterminateIndexError(ArithmeticError):
@@ -396,22 +396,6 @@ def _Q_coef(F: Poly, E_const: float, kappa: float) -> list[float]:
     return q
 
 
-def _horner(c, x):
-    """The polynomial with descending coefficients c at x, in np.polyval's
-    arithmetic; a coefficient may be a row of coefficients, one per column
-    of x."""
-    y = 0.0
-    for a in c:
-        y = y * x + a
-    return y
-
-
-def _deriv(c: list[float]) -> list[float]:
-    """Descending coefficients of the derivative."""
-    n = len(c) - 1
-    return [(n - i) * a for i, a in enumerate(c[:-1])]
-
-
 def turning_points(F: Poly, E_const: float, kappa: float):
     """The real roots of Q(u) = 2E + 2 kappa u - 2F(u) nearest 0 on each side.
 
@@ -428,9 +412,8 @@ def turning_points(F: Poly, E_const: float, kappa: float):
         raise TurningPointError("no turning point on one side of 0")
     mu = (max(below), min(above))
     # simplicity: Q' must not vanish at the endpoints
-    dq = _deriv(q[::-1])
     tol = 1e-6 * max(1.0, abs(E_const), abs(kappa))
-    if min(abs(_horner(dq, r)) for r in mu) < tol:
+    if min(abs(horner(derivative(q), r)) for r in mu) < tol:
         raise TurningPointError("turning point is not simple (separatrix)")
     return mu
 
@@ -471,35 +454,34 @@ def period_jet(F: Poly, E_const: float, kappa: float):
     X = P, M, R.
     """
     mu_m, mu_p = turning_points(F, E_const, kappa)
-    # c = -W: Q (descending) divided by u - mu_m, then by u - mu_p, by
-    # synthetic division; each remainder (zero up to rounding) is dropped.
-    # dc carries the derivatives (d/dE, d/dkappa) of every coefficient:
-    # dQ/dE = 2, dQ/dkappa = 2u
-    c = _Q_coef(F, E_const, kappa)[::-1]
-    dq = _deriv(c)
+    # c = -W: Q (ascending) divided by u - mu_m, then by u - mu_p, by
+    # synthetic division from the top; each remainder, the constant term
+    # (zero up to rounding), is dropped.  dc carries the derivatives
+    # (d/dE, d/dkappa) of every coefficient: dQ/dE = 2, dQ/dkappa = 2u
+    c = _Q_coef(F, E_const, kappa)
+    dq = derivative(c)
     dc = [(0.0, 0.0)] * len(c)
-    dc[-1], dc[-2] = (2.0, 0.0), (0.0, 2.0)
+    dc[0], dc[1] = (2.0, 0.0), (0.0, 2.0)
     dmu = []
     for r in (mu_m, mu_p):
-        slope = _horner(dq, r)
+        slope = horner(dq, r)
         dr = (-2.0 / slope, -2.0 * r / slope)
         dmu.append(dr)
-        for i in range(1, len(c)):
-            c[i] += r * c[i - 1]
-            # d(c[i] + r c[i-1]) = dc[i] + dr c[i-1] + r dc[i-1]
+        for i in range(len(c) - 2, -1, -1):
+            c[i] += r * c[i + 1]
+            # d(c[i] + r c[i+1]) = dc[i] + dr c[i+1] + r dc[i+1]
             dc[i] = tuple(
-                a + b * c[i - 1] + r * e for a, b, e in zip(dc[i], dr, dc[i - 1])
+                a + b * c[i + 1] + r * e for a, b, e in zip(dc[i], dr, dc[i + 1])
             )
-        c.pop()
-        dc.pop()
+        del c[0], dc[0]
     w, s2 = _gauss_rule(200)
     u = mu_m + (mu_p - mu_m) * s2
-    W = -_horner(c, u)
+    W = -horner(c, u)
     if np.any(W <= 0.0):
         raise TurningPointError("integrand not positive inside the turning interval")
     base = 2.0 / np.sqrt(W)
-    f = _deriv(F.coef.tolist()[::-1])  # F', descending
-    fu = _horner(f, u)
+    f = derivative(F.coef.tolist())  # F'
+    fu = horner(f, u)
     P = float(w @ base)
     M = float(w @ (base * u))
     R = float(w @ (base * fu))
@@ -508,11 +490,11 @@ def period_jet(F: Poly, E_const: float, kappa: float):
     # d(2/sqrt(W)) = -(base/2W) dW
     dm, dp = np.array(dmu)
     du = s2[:, None] * (dp - dm) + dm
-    dW = -(_horner(np.array(dc), u[:, None]) + _horner(_deriv(c), u)[:, None] * du)
+    dW = -(horner(np.array(dc), u[:, None]) + horner(derivative(c), u)[:, None] * du)
     wb = w * base
     wh = 0.5 * wb / W
     J = -(np.array([wh, wh * u, wh * fu]) @ dW)
-    J[1:] += np.array([wb, wb * _horner(_deriv(f), u)]) @ du
+    J[1:] += np.array([wb, wb * horner(derivative(f), u)]) @ du
     return (mu_m, mu_p), (P, M, R), J
 
 

@@ -357,7 +357,9 @@ def _network(args):
 def cmd_integrator(args) -> int:
     spec, prob = _network(args)
     if args.mode == "impulse":
-        t, series = integrator.impulse_response(prob, args.rho1, args.rho2, spec.b, args.t_end)
+        t, series = in_domain(
+            integrator.impulse_response, prob, args.rho1, args.rho2, spec.b, args.t_end
+        )
         mg = integrator.measured_gain(series, spec.b)
         emit(
             table_csv(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import Poly  # noqa: F401  (curves.Poly: the benchmark builds decompositions with it)
+from .kernel import Poly, derivative, horner  # noqa: F401  (the benchmark builds with curves.Poly)
 from .lowrank import AKDecomposition
 
 
@@ -182,6 +182,34 @@ def solve_bilinear_rows(a, b):
     return [(float(r1), float(r2)) for r1, r2 in sol[0, : count[0]]]
 
 
+def _jet(dec: AKDecomposition, order: int) -> np.ndarray:
+    """Ascending coefficients of D, P1, P2, Q and of their first `order`
+    derivatives: shape (m, 4 (order + 1)), the derivative order outermost.
+    Every row of the split that a curve reads is evaluated from these columns."""
+    polys = (dec.D, dec.P1, dec.P2, dec.Q)
+    m = max(p.coef.size for p in polys)
+    jet = np.zeros((m, order + 1, 4))
+    for k, p in enumerate(polys):
+        jet[: p.coef.size, 0, k] = p.coef
+    for k in range(order):
+        jet[: max(m - 1, 1), k + 1] = derivative(jet[:, k])
+    return jet.reshape(m, -1)
+
+
+def _values(c, t, name: str = "lambda", imaginary: bool = False):
+    """The columns of c, ascending in lambda, at lambda = t (i t if imaginary),
+    shape (columns,) + t.shape.  FloatingPointError names the first value of
+    the parameter t, called name, at which the split is not finite."""
+    t = np.asarray(t, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = horner(c.reshape(c.shape + (1,) * t.ndim), 1j * t if imaginary else t)
+    bad = ~np.isfinite(v.reshape(len(v), -1)).all(axis=0)
+    if bad.any():
+        at = float(t.flat[bad.argmax()])
+        raise FloatingPointError(f"the split overflows at {name} = {at!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # constant-eigenvalue (zero-set) curves
 
@@ -194,7 +222,7 @@ def graph_rho1(dec: AKDecomposition, lam: float, rho2):
     polynomial values (relative to rho2 as well); rho1 is inf or nan there.
     This is the one pole rule of every constant-eigenvalue graph.
     """
-    d, p1, p2, q = dec.D(lam), dec.P1(lam), dec.P2(lam), dec.Q(lam)
+    d, p1, p2, q = _values(_jet(dec, 0), lam)
     scale = max(abs(d), abs(p1), abs(p2), abs(q), 1.0)
     r2 = np.asarray(rho2, float)
     den = p1 + r2 * q
@@ -227,10 +255,8 @@ def zero_curve(dec: AKDecomposition, rho2_grid) -> CurveBranch:
 
 def _envelope_rows(dec: AKDecomposition, lam):
     """Rows (F, dF/dlambda) at each lambda: arrays of shape lam.shape + (4,)."""
-    polys = (dec.D, dec.P1, dec.P2, dec.Q)
-    a = np.stack([p(lam) for p in polys], axis=-1)
-    b = np.stack([p.deriv()(lam) for p in polys], axis=-1)
-    return a, b
+    v = _values(_jet(dec, 1), lam).T
+    return v[..., :4], v[..., 4:]
 
 
 def envelope_point(dec: AKDecomposition, lam: float):
@@ -286,7 +312,7 @@ def singular_piece(dec: AKDecomposition, lam: float):
     Returns a dict with the two line levels, or raises if the form is
     irreducible (a genuine hyperbola) or Q vanishes.
     """
-    d, p1, p2, q = dec.D(lam), dec.P1(lam), dec.P2(lam), dec.Q(lam)
+    d, p1, p2, q = _values(_jet(dec, 0), lam)
     scale = max(abs(d), abs(p1), abs(p2), abs(q), 1.0)
     if abs(q) <= SINGULAR_TOL * scale:
         raise DegenerateCurveError("singular piece needs Q(lambda) != 0")
@@ -303,8 +329,7 @@ def singular_piece(dec: AKDecomposition, lam: float):
 
 def _hopf_rows(dec: AKDecomposition, omega):
     """Rows (Re F, Im F) at lambda = i omega: arrays of shape omega.shape + (4,)."""
-    z = 1j * np.asarray(omega)
-    v = np.stack([p(z) for p in (dec.D, dec.P1, dec.P2, dec.Q)], axis=-1)
+    v = _values(_jet(dec, 0), omega, "omega", imaginary=True).T
     return v.real, v.imag
 
 
@@ -335,25 +360,6 @@ TRIPLE_SPLIT = 16
 RANK_RCOND = 1e-8
 
 
-def _jet(dec: AKDecomposition) -> np.ndarray:
-    """Ascending coefficients of D, P1, P2, Q and of their first two
-    derivatives: shape (m, 12), the derivative order outermost."""
-    polys = (dec.D, dec.P1, dec.P2, dec.Q)
-    m = max(p.coef.size for p in polys)
-    jet = np.zeros((m, 3, 4))
-    for k, p in enumerate(polys):
-        jet[: p.coef.size, 0, k] = p.coef
-    for k in range(2):
-        jet[:-1, k + 1] = np.arange(1, m)[:, None] * jet[1:, k]
-    return jet.reshape(m, 12)
-
-
-def _jet_rows(jet, lam):
-    """Rows F, F' and F'' at each lambda, shape (3, 4, lam.size): lambda
-    last, so that each column of a row is contiguous."""
-    return (jet.T @ np.vander(lam, len(jet), increasing=True).T).reshape(3, 4, -1)
-
-
 def _cusp_function(jet, lam):
     """h = F''(lambda; rho) / (1 + |rho|^2) at both envelope points rho.
 
@@ -363,7 +369,7 @@ def _cusp_function(jet, lam):
     degenerate): h and size = max(|rho1|, |rho2|) per lambda and point, nan
     where there is none, and the rows the bilinear solver cannot solve.
     """
-    rows = _jet_rows(jet, lam)
+    rows = _values(jet, lam).reshape(3, 4, -1)  # F, F', F''; lambda last
     sol, count, degenerate = _solve_rows(rows[0].T, rows[1].T)
     sol[count == 0] = np.nan
     r1, r2 = sol[..., 0], sol[..., 1]
@@ -457,7 +463,7 @@ def triple_points(dec: AKDecomposition, lam_window: tuple[float, float]):
     grid lambda, as on a rank-one problem.
     """
     lo, hi = lam_window
-    jet = _jet(dec)
+    jet = _jet(dec, 2)
     lam = np.linspace(lo, hi, TRIPLE_GRID)
     h, size, degenerate = _cusp_function(jet, lam)
     if degenerate.all():
@@ -476,12 +482,13 @@ def triple_points(dec: AKDecomposition, lam_window: tuple[float, float]):
     _refine(jet, branch, a, b, ha, hb, size[i, branch], size[i + 1, branch])
     x = b - hb * (b - a) / (hb - ha)
 
-    rows = _jet_rows(jet, x)
+    rows = _values(jet, x).reshape(3, 4, -1)
     lane, r1, r2 = _triple_screen(rows.transpose(2, 0, 1))
     lam = x[lane]
     mono = np.array([np.ones_like(r1), r1, r2, r1 * r2])
     res = np.einsum("ikm,km->im", rows[..., lane], mono)
-    terms = np.einsum("ikm,km->im", _jet_rows(np.abs(jet), np.abs(lam)), np.abs(mono))
+    terms = _values(np.abs(jet), np.abs(lam)).reshape(3, 4, -1)
+    terms = np.einsum("ikm,km->im", terms, np.abs(mono))
     keep = np.all(np.abs(res) <= 1e-8 * terms, axis=0) & (lo <= lam) & (lam <= hi)
     out = []
     for p in sorted(zip(lam[keep].tolist(), r1[keep].tolist(), r2[keep].tolist())):

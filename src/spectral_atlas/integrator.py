@@ -214,6 +214,10 @@ def gain(p: LowRankProblem, rho1, rho2, b):
     return float(g[0].real) if rho1.ndim == 0 else g.real.reshape(rho1.shape)
 
 
+# most time steps (nsteps + 1 responses) impulse_response takes
+MAX_STEPS = 10**7
+
+
 def impulse_response(
     p: LowRankProblem,
     rho1: float,
@@ -231,7 +235,8 @@ def impulse_response(
     m = ceil(sqrt(nsteps + 1)) states: the first panel b, Rb, ..., R^(m-1) b
     is built step by step, every later one is R^m times the one before, and
     each panel's responses are one product with b.  FloatingPointError
-    names the first time whose response is not finite.
+    names the first time whose response is not finite; ValueError, before
+    anything is allocated, when nsteps + 1 exceeds MAX_STEPS.
     """
     b = np.asarray(b, float)
     A = perturbed_matrix(p, rho1, rho2)
@@ -242,6 +247,10 @@ def impulse_response(
     if dt > cap:
         raise ValueError(f"dt={dt} exceeds stability cap 0.1/spectral radius = {cap}")
     nsteps = int(np.ceil(t_end / dt))
+    if nsteps + 1 > MAX_STEPS:
+        raise ValueError(
+            f"t_end={t_end} at dt={dt} takes nsteps={nsteps:.4g}, over MAX_STEPS = {MAX_STEPS}"
+        )
     eye = np.eye(len(b))
     H = dt * A
     R = eye + H @ (eye + H @ (eye / 2.0 + H @ (eye / 6.0 + H / 24.0)))

@@ -1,7 +1,8 @@
-"""Foundation numerics: polynomial algebra, roots, elliptic functions.
+"""Foundation numerics: polynomial values, derivatives and roots; elliptic functions.
 
 Polynomials are stored as dense ascending coefficient vectors; degrees stay
 small (bounded by matrix dimension) so no sparse representation is needed.
+`horner` and `derivative` are the package's one evaluator and derivative rule.
 """
 
 from __future__ import annotations
@@ -13,7 +14,24 @@ import numpy.polynomial.polynomial as npp
 
 
 # ---------------------------------------------------------------------------
-# polynomial algebra
+# polynomials
+
+
+def horner(c, x):
+    """The polynomial with ascending coefficients c (a list, or rows along
+    the first axis that broadcast against a real or complex x) at x, in
+    npp.polyval's order: y = c[-1] + 0 x, then y = y x + c[k] down to k = 0."""
+    y = c[-1] + x * 0
+    for a in c[-2::-1]:
+        y *= x
+        y += a
+    return y
+
+
+def derivative(c):
+    """The list of k c[k], k >= 1, the derivative's ascending coefficients
+    (rows) as npp.polyder computes them; a constant's is one zero."""
+    return [k * c[k] for k in range(1, len(c))] or [0.0 * c[0]]
 
 
 @dataclass(frozen=True)
@@ -41,11 +59,11 @@ class Poly:
         return float(np.max(np.abs(self.coef)))
 
     def __call__(self, x):
-        return npp.polyval(x, self.coef)
+        return horner(self.coef, np.asarray(x) if isinstance(x, (list, tuple)) else x)
 
     # -- algebra ---------------------------------------------------------
     def deriv(self, m: int = 1) -> "Poly":
-        return Poly(npp.polyder(self.coef, m))
+        return Poly(derivative(self.coef)).deriv(m - 1) if m else self
 
     def __add__(self, other: "Poly") -> "Poly":
         return Poly(npp.polyadd(self.coef, _coef(other)))

@@ -8,6 +8,8 @@ explicit top eigenpairs of H for the cubic front, and restricted_matrix the
 perturbed operator on span{1, sn^2}, whose nonzero eigenvalue is
 allencahn.lambda1.  tau_richardson takes the derivatives of the period
 integrals by finite differences, apart from period_jet's exact Jacobian.
+descending_period_jet is period_jet as it was when it evaluated descending
+coefficient lists with a Horner loop of its own, before kernel.horner.
 """
 
 from fractions import Fraction
@@ -20,8 +22,11 @@ from spectral_atlas.allencahn import (
     CubicFront,
     DiscretizedOperator,
     PoleProximityError,
+    _gauss_rule,
+    _Q_coef,
     a_of_k,
     period_integrals,
+    turning_points,
 )
 from spectral_atlas.kernel import jacobi_sn_cn_dn
 
@@ -175,3 +180,51 @@ def tau_richardson(F, E_const: float, kappa: float) -> float:
     if abs(den) < 1e-12 * max(1.0, abs(M_E * P_k), abs(M_k * P_E)):
         raise ZeroDivisionError("fold of the family: dR/ds vanishes")
     return float((M_E * P_k - M_k * P_E) / den)
+
+
+def _horner_desc(c, x):
+    y = 0.0
+    for a in c:
+        y = y * x + a
+    return y
+
+
+def _deriv_desc(c):
+    n = len(c) - 1
+    return [(n - i) * a for i, a in enumerate(c[:-1])]
+
+
+def descending_period_jet(F, E_const: float, kappa: float):
+    """period_jet's ((mu_-, mu_+), (P, M, R), J) on descending lists."""
+    mu_m, mu_p = turning_points(F, E_const, kappa)
+    c = _Q_coef(F, E_const, kappa)[::-1]
+    dq = _deriv_desc(c)
+    dc = [(0.0, 0.0)] * len(c)
+    dc[-1], dc[-2] = (2.0, 0.0), (0.0, 2.0)
+    dmu = []
+    for r in (mu_m, mu_p):
+        slope = _horner_desc(dq, r)
+        dr = (-2.0 / slope, -2.0 * r / slope)
+        dmu.append(dr)
+        for i in range(1, len(c)):
+            c[i] += r * c[i - 1]
+            dc[i] = tuple(a + b * c[i - 1] + r * e for a, b, e in zip(dc[i], dr, dc[i - 1]))
+        c.pop()
+        dc.pop()
+    w, s2 = _gauss_rule(200)
+    u = mu_m + (mu_p - mu_m) * s2
+    W = -_horner_desc(c, u)
+    base = 2.0 / np.sqrt(W)
+    f = _deriv_desc(F.coef.tolist()[::-1])
+    fu = _horner_desc(f, u)
+    P = float(w @ base)
+    M = float(w @ (base * u))
+    R = float(w @ (base * fu))
+    dm, dp = np.array(dmu)
+    du = s2[:, None] * (dp - dm) + dm
+    dW = -(_horner_desc(np.array(dc), u[:, None]) + _horner_desc(_deriv_desc(c), u)[:, None] * du)
+    wb = w * base
+    wh = 0.5 * wb / W
+    J = -(np.array([wh, wh * u, wh * fu]) @ dW)
+    J[1:] += np.array([wb, wb * _horner_desc(_deriv_desc(f), u)]) @ du
+    return (mu_m, mu_p), (P, M, R), J

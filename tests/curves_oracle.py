@@ -1,5 +1,8 @@
 """Oracles for the curve tests that the library itself does not use.
 
+poly_envelope_rows and poly_hopf_rows evaluate the split one polynomial at a
+time with npp.polyval and npp.polyder, the route the curves took before they
+read every row from one coefficient array through kernel.horner.
 envelope_q_zero solves the envelope system by Cramer's rule when Q = 0,
 and genericity_check classifies the envelope system at one lambda by the
 ranks of its rows and by Wronskian identities.  Neither goes through the
@@ -11,6 +14,7 @@ from the envelope sweep that curves.triple_points refines.
 
 import mpmath as mp
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from spectral_atlas.curves import DegenerateCurveError
 from spectral_atlas.lowrank import AKDecomposition, LowRankProblem
@@ -27,6 +31,21 @@ def generic_problem(rng, n: int) -> LowRankProblem:
     M = -2.0 * np.eye(n) + 0.8 * rng.standard_normal((n, n)) / np.sqrt(n)
     f1, g1, f2, g2 = 1.5 * rng.standard_normal((4, n)) / np.sqrt(n)
     return LowRankProblem(M, f1, g1, f2, g2)
+
+
+def poly_envelope_rows(dec: AKDecomposition, lam):
+    """Rows (F, dF/dlambda) at each lambda, shape lam.shape + (4,)."""
+    cs = [p.coef for p in (dec.D, dec.P1, dec.P2, dec.Q)]
+    a = np.stack([npp.polyval(lam, c) for c in cs], axis=-1)
+    b = np.stack([npp.polyval(lam, npp.polyder(c)) for c in cs], axis=-1)
+    return a, b
+
+
+def poly_hopf_rows(dec: AKDecomposition, omega):
+    """Rows (Re F, Im F) at lambda = i omega, shape omega.shape + (4,)."""
+    z = 1j * np.asarray(omega)
+    v = np.stack([npp.polyval(z, p.coef) for p in (dec.D, dec.P1, dec.P2, dec.Q)], axis=-1)
+    return v.real, v.imag
 
 
 def envelope_q_zero(dec: AKDecomposition, lam: float):

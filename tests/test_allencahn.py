@@ -30,6 +30,7 @@ from spectral_atlas.allencahn import (
 from spectral_atlas.kernel import Poly, elliptic_K_E
 
 from allencahn_oracle import (
+    descending_period_jet,
     lame_spectrum,
     perturbed_eigs_near,
     restricted_matrix,
@@ -792,6 +793,15 @@ class TestPeriodJet:
         assert J.shape == (3, 2)
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(J - ref) <= 1e-8 * scale)
+
+    @pytest.mark.parametrize("case", JET_CASES, ids=case_id)
+    def test_same_bits_as_descending_lists(self, case):
+        # kernel.horner on ascending lists repeats the old descending route
+        F, E, kappa = jet_case(*case)
+        mu, values, J = period_jet(F, E, kappa)
+        ref_mu, ref_values, ref_J = descending_period_jet(F, E, kappa)
+        assert (mu, values) == (ref_mu, ref_values)
+        assert J.tobytes() == ref_J.tobytes()
 
     @pytest.mark.parametrize("case", JET_CASES, ids=case_id)
     def test_tau_against_richardson(self, case):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spectral_atlas import allencahn, cli, curves
-from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor
+from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.phase import phase_grid
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
 
@@ -779,6 +779,9 @@ class TestExitCodes:
             ["continuum", "envelope", "--omega-range", " 0:1:5"],
             ["continuum", "envelope", "--branch", "hyper", "--omega-range", " -1:1:5"],
             ["phase", "--preset", "example1", "--grid", "0"],
+            # about 4e153 and 5.1e9 time steps: refused before any allocation
+            ["integrator", "impulse", "--preset", "ag_in", "--rho1", "1e300", "--t-end", "1"],
+            ["integrator", "impulse", "--t-end", "1e6"],
         ],
         ids=shlex.join,
     )
@@ -837,6 +840,15 @@ class TestReadme:
             "decompose", "curve", "envelope", "hopf", "triples", "phase",
             "integrator", "continuum", "rs",
         }
+
+    def test_impulse_example_is_stable(self):
+        # a decaying response: the example's operating point has every
+        # eigenvalue in the left half plane
+        [argv] = [a for a in readme_commands() if a[:2] == ["integrator", "impulse"]]
+        args = cli.build_parser().parse_args(argv)
+        _, prob = cli._network(args)
+        ev = np.linalg.eigvals(perturbed_matrix(prob, args.rho1, args.rho2))
+        assert ev.real.max() < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +1005,23 @@ class TestBranchWriters:
 
 
 class TestOverflowExits:
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["hopf", "--omega-range", " 1e200:1e201:3", "--format", "json"], "omega = 1e+200"),
+            (["curve", "--lambda", "1e300"], "lambda = 1e+300"),
+            (["envelope", "--lambda-range", " -1e80:-1e79:5"], "lambda = -1e+80"),
+            (["triples", "--lambda-window", " -1e300:1e300"], "lambda = -1e+300"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else shlex.join(v),
+    )
+    def test_split_overflow_is_3(self, capsys, argv, where):
+        # the split is not finite there: a numeric failure naming the first
+        # such parameter value, not NaN output, an empty answer or another reason
+        code, out, err = run([argv[0], "--preset", "example1", *argv[1:]], capsys)
+        assert (code, out) == (3, "")
+        assert f"the split overflows at {where}" in err
+
     @pytest.mark.parametrize("command", ["decompose", "triples", "envelope"])
     def test_large_scale_input_is_3(self, tmp_path, capsys, command):
         # scale**n overflows: a numeric failure that names n and the scale

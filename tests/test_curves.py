@@ -21,12 +21,19 @@ from spectral_atlas.curves import (
     triple_points,
     zero_curve,
 )
-from spectral_atlas.curves import _solve_rows
+from spectral_atlas.curves import _envelope_rows, _hopf_rows, _solve_rows
 from spectral_atlas.kernel import Poly
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.presets import SQRT2, example1
 
-from curves_oracle import envelope_q_zero, generic_problem, genericity_check, triple_points_mp
+from curves_oracle import (
+    envelope_q_zero,
+    generic_problem,
+    genericity_check,
+    poly_envelope_rows,
+    poly_hopf_rows,
+    triple_points_mp,
+)
 
 LAMSTAR = -2.0 + SQRT2 / 2.0
 
@@ -381,6 +388,35 @@ class TestHopf:
     def test_branches(self, dec):
         brs = hopf_curve(dec, np.linspace(0.1, 2.0, 50))
         assert all(len(b.points) == 50 for b in brs)
+
+
+class TestRowsFromOneArray:
+    """The envelope and Hopf rows, read from one coefficient array through
+    kernel.horner, equal those of the per-polynomial npp.polyval route.
+
+    Values are compared, not bytes: a constant polynomial's derivative is
+    -0.0 on that route where the padded array holds +0.0.
+    """
+
+    @pytest.mark.parametrize("n", [None, 2, 3, 5, 9])
+    def test_rows_equal_the_poly_route(self, n):
+        p = example1() if n is None else generic_problem(np.random.default_rng(n), n)
+        d = decompose_cofactor(p)
+        lam = np.concatenate([np.linspace(-4.0, 0.0, 400), np.linspace(-400.0, 400.0, 801)])
+        om = np.concatenate([np.linspace(0.01, 10.0, 400), np.linspace(0.01, 400.0, 801)])
+        for got, ref in [
+            *zip(_envelope_rows(d, lam), poly_envelope_rows(d, lam)),
+            *zip(_hopf_rows(d, om), poly_hopf_rows(d, om)),
+            *zip(_envelope_rows(d, -1.3), poly_envelope_rows(d, -1.3)),
+        ]:
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    def test_constant_split(self):
+        # every polynomial a constant: the derivative row is zero, not empty
+        d = AKDecomposition(Poly([1.0]), Poly([-0.5]), Poly([2.0]), Poly([1.0]))
+        a, b = _envelope_rows(d, np.linspace(-1.0, 1.0, 5))
+        assert np.array_equal(a, np.tile([1.0, -0.5, 2.0, 1.0], (5, 1)))
+        assert b.shape == (5, 4) and not b.any()
 
 
 class TestTriplePoints:

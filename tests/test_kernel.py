@@ -4,7 +4,16 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_atlas.kernel import Poly, elliptic_K_E, jacobi_sn_cn_dn, poly_roots
+import numpy.polynomial.polynomial as npp
+
+from spectral_atlas.kernel import (
+    Poly,
+    derivative,
+    elliptic_K_E,
+    horner,
+    jacobi_sn_cn_dn,
+    poly_roots,
+)
 
 from kernel_oracle import poly_wronskian, resultant
 
@@ -47,6 +56,72 @@ class TestPoly:
         p = Poly(coefs)
         ref = sum(c * x**i for i, c in enumerate(coefs))
         assert abs(p(x) - ref) <= 1e-8 * (1 + abs(ref))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestHornerDerivative:
+    """horner and derivative give npp.polyval's and npp.polyder's bits."""
+
+    rng = np.random.default_rng(11)
+    X = {
+        "real": rng.uniform(-3.0, 3.0, 50),
+        "complex": 1j * rng.uniform(0.0, 10.0, 50),
+        "mixed": rng.uniform(-2.0, 2.0, 50) + 1j * rng.uniform(-2.0, 2.0, 50),
+        "scalar": -1.7,
+        "complex scalar": 0.3 + 2.1j,
+    }
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("x", X.values(), ids=X.keys())
+    def test_horner_is_polyval(self, degree, x):
+        c = self.rng.standard_normal(degree + 1)
+        assert same_bits(horner(c, x), npp.polyval(x, c))
+        assert same_bits(horner(c.tolist(), x), npp.polyval(x, c))
+
+    @pytest.mark.parametrize("x", X.values(), ids=X.keys())
+    def test_rows_padded_with_leading_zeros(self, x):
+        # one column per polynomial, each padded to the longest with zeros
+        # above its degree: every column keeps its own polynomial's bits.
+        # Rows make array arithmetic even at a scalar x, and numpy's complex
+        # scalar product may differ from its array loop in the last bit, so
+        # the reference is evaluated on an array too
+        cs = [self.rng.standard_normal(n) for n in (1, 3, 4, 7)]
+        rows = np.zeros((7, len(cs)))
+        for k, c in enumerate(cs):
+            rows[: c.size, k] = c
+        got = horner(rows.reshape(rows.shape + (1,) * np.ndim(x)), x)
+        for k, c in enumerate(cs):
+            ref = npp.polyval(np.asarray(x)[None], c).reshape(np.shape(x))
+            assert same_bits(got[k], ref)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5])
+    def test_derivative_is_polyder(self, degree):
+        c = self.rng.standard_normal(degree + 1)
+        assert same_bits(derivative(c.tolist()), npp.polyder(c))
+        assert isinstance(derivative(c.tolist()), list)
+        assert same_bits(derivative(c), npp.polyder(c))
+        rows = self.rng.standard_normal((degree + 1, 4))
+        assert same_bits(derivative(rows), npp.polyder(rows, axis=0))
+
+    def test_constant_rows_have_a_zero_row(self):
+        # a constant's derivative is a zero row, not an empty array
+        d = np.asarray(derivative(np.array([[1.0, -2.0, 0.5, 3.0]])))
+        assert d.shape == (1, 4) and not d.any()
+        assert derivative([4.0]) == [0.0]
+
+    def test_list_at_float_stays_float(self):
+        assert type(horner([1.0, 2.0, 3.0], 0.5)) is float
+
+    def test_poly_takes_what_polyval_takes(self):
+        c = self.rng.standard_normal(4)
+        for x in ([0.5, -1.0], (2.0, 1j), 0.25, 1.5j, np.linspace(-1.0, 1.0, 7)):
+            assert same_bits(Poly(c)(x), npp.polyval(x, c))
+        assert same_bits(Poly(c).deriv(2).coef, npp.polyder(c, 2))
+        assert same_bits(Poly(c).deriv(5).coef, npp.polyder(c, 5))
 
 
 class TestWronskian:
