@@ -195,12 +195,23 @@ class DiscretizedOperator:
         return scipy.linalg.eigh_tridiagonal(self.diag, self.off)
 
     def solve(self, b: np.ndarray, shift: complex = 0.0) -> np.ndarray:
-        """(H - shift I)^{-1} b via a banded solve, complex for a complex shift."""
-        ab = np.zeros((3, self.n), np.result_type(float, shift))
-        ab[0, 1:] = self.off
-        ab[1] = self.diag - shift
-        ab[2, :-1] = self.off
-        return scipy.linalg.solve_banded((1, 1), ab, b)
+        """(H - shift I)^{-1} b by LAPACK's tridiagonal gtsv, complex (zgtsv)
+        for a complex shift or b.
+
+        gtsv is called directly, as solve_banded would call it for this
+        (1, 1) band, with the same bits.  ValueError if the shifted diagonal
+        or b is not finite (the off-diagonal is finite when the diagonal is);
+        LinAlgError if the matrix is singular (gtsv's info > 0).
+        """
+        d = self.diag - shift
+        if not (np.isfinite(d).all() and np.isfinite(b).all()):
+            raise ValueError("solve: the shifted diagonal or b is not finite")
+        lapack = scipy.linalg.lapack
+        gtsv = lapack.zgtsv if np.iscomplexobj(d) or np.iscomplexobj(b) else lapack.dgtsv
+        x, info = gtsv(self.off, d, self.off, b, overwrite_d=1)[3:]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular matrix: gtsv failed with info = {info}")
+        return x
 
     def perturbed_matrix(self, rho: float) -> np.ndarray:
         """Htilde = H - (rho h / 2L) 1 fp^T (dense)."""
@@ -211,10 +222,21 @@ class DiscretizedOperator:
         return A
 
 
+# most cells build_H_discrete assembles: each array of the operator, and
+# each solve, takes 8 n bytes
+MAX_CELLS = 10**6
+
+
 def build_H_discrete(f_prime, L: float, n: int = 4000) -> DiscretizedOperator:
-    """Assemble H on n cells of [-L, L]; f_prime is a callable of x or samples."""
+    """Assemble H on n cells of [-L, L]; f_prime is a callable of x or samples.
+
+    ValueError, before anything is allocated, for n below 16 or above
+    MAX_CELLS.
+    """
     if n < 16:
         raise ValueError("grid too coarse")
+    if n > MAX_CELLS:
+        raise ValueError(f"n = {n} cells is over MAX_CELLS = {MAX_CELLS}")
     h = 2.0 * L / n
     x = -L + (np.arange(n) + 0.5) * h
     fp = np.array(f_prime(x) if callable(f_prime) else f_prime, float)
@@ -399,13 +421,20 @@ def _Q_coef(F: Poly, E_const: float, kappa: float) -> list[float]:
 def turning_points(F: Poly, E_const: float, kappa: float):
     """The real roots of Q(u) = 2E + 2 kappa u - 2F(u) nearest 0 on each side.
 
-    Q must be positive at 0 and both roots simple; the returned pair brackets
-    the classical oscillation interval of the quadrature.
+    Q must be positive at 0, its monic coefficients finite and both roots
+    simple; the returned pair brackets the classical oscillation interval of
+    the quadrature.  The roots come from kernel.poly_roots on Q's coefficient
+    list.
     """
     q = _Q_coef(F, E_const, kappa)
     if q[0] <= 0.0:
         raise TurningPointError("no admissible interval: Q(0) <= 0")
-    real = [z.real for z in poly_roots(Poly(q)).tolist() if z.imag == 0.0]
+    lead = next(a for a in reversed(q) if a != 0.0)
+    if not all(math.isfinite(a / lead) for a in q):
+        raise TurningPointError(
+            f"Q's monic coefficients are not finite at E = {E_const!r}, kappa = {kappa!r}"
+        )
+    real = [z.real for z in poly_roots(q).tolist() if z.imag == 0.0]
     below = [r for r in real if r < 0.0]
     above = [r for r in real if r > 0.0]
     if not (below and above):

@@ -336,7 +336,7 @@ def cmd_phase(args) -> int:
     (r1lo, r1hi), (r2lo, r2hi) = parse_window(args.window)
     r1 = np.linspace(r1lo, r1hi, args.grid)
     r2 = np.linspace(r2lo, r2hi, args.grid)
-    g = phase.phase_grid(prob, r1, r2)
+    g = in_domain(phase.phase_grid, prob, r1, r2)
     if getattr(args, "format", "csv") == "json":
         census = g.census_counts()
         counts = {f"{nr}:{nh}": c for (nr, nh), c in census.items()}

@@ -2,7 +2,8 @@
 
 Polynomials are stored as dense ascending coefficient vectors; degrees stay
 small (bounded by matrix dimension) so no sparse representation is needed.
-`horner` and `derivative` are the package's one evaluator and derivative rule.
+`horner` and `derivative` are the package's one evaluator and derivative rule;
+they and `poly_roots` take ascending coefficient lists or arrays.
 """
 
 from __future__ import annotations
@@ -99,19 +100,26 @@ def _coef(p):
     return p.coef if isinstance(p, Poly) else np.atleast_1d(np.asarray(p, float))
 
 
-def poly_roots(p: Poly) -> np.ndarray:
-    """All complex roots via companion-matrix eigensolve."""
-    if p.is_zero:
+def poly_roots(c) -> np.ndarray:
+    """All complex roots of the polynomial with ascending coefficients c (a
+    list or an array), by a companion-matrix eigensolve.
+
+    Trailing zeros are trimmed first, as Poly trims them, and the companion
+    matrix is built from c / c[-1]; a constant has no roots.  ValueError for
+    the zero polynomial.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size - 1  # degree once trailing zeros are trimmed
+    while n >= 0 and c[n] == 0.0:
+        n -= 1
+    if n < 0:
         raise ValueError("poly_roots: zero polynomial")
-    c = p.coef
-    n = len(c) - 1
     if n == 0:
         return np.array([], dtype=complex)
     # monic companion matrix, ascending input
-    monic = c / c[-1]
     C = np.zeros((n, n))
     C[1:, :-1] = np.eye(n - 1)
-    C[:, -1] = -monic[:-1]
+    C[:, -1] = -(c[:n] / c[n])
     return np.linalg.eigvals(C)
 
 

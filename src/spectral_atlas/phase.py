@@ -63,6 +63,10 @@ class RegionLabel:
 # a megabyte of float64, whatever the grid size or matrix dimension.
 _CHUNK_ENTRIES = 1 << 16
 
+# most grid cells phase_grid classifies: its label arrays take 17 bytes a
+# cell, and the CSV census about 50 more
+MAX_CELLS = 10**6
+
 _MARGINAL = DOMINANT_KINDS.index("marginal")
 
 # an eigenvalue counts as real when its imaginary part is at most this
@@ -139,12 +143,17 @@ def phase_grid(problem: LowRankProblem, rho1_values, rho2_values) -> PhaseGrid:
     The perturbed matrices M + rho1 f1 g1^T + rho2 f2 g2^T are built by
     broadcasting, in chunks of about _CHUNK_ENTRIES entries, and each chunk
     is classified by one stacked LAPACK eigensolve.  Non-finite entries
-    raise numpy's LinAlgError, a ValueError subclass.
+    raise numpy's LinAlgError, a ValueError subclass; a grid of more than
+    MAX_CELLS cells raises a plain ValueError before anything is allocated.
     """
     p = problem
     r1s = np.asarray(rho1_values, float)
     r2s = np.asarray(rho2_values, float)
     cells = r1s.size * r2s.size
+    if cells > MAX_CELLS:
+        raise ValueError(
+            f"{r1s.size} x {r2s.size} = {cells} grid cells is over MAX_CELLS = {MAX_CELLS}"
+        )
     n_real = np.empty(cells, dtype=int)
     n_rhp = np.empty(cells, dtype=int)
     dominant = np.empty(cells, dtype=np.int8)

@@ -10,11 +10,15 @@ allencahn.lambda1.  tau_richardson takes the derivatives of the period
 integrals by finite differences, apart from period_jet's exact Jacobian.
 descending_period_jet is period_jet as it was when it evaluated descending
 coefficient lists with a Horner loop of its own, before kernel.horner.
+banded_solve is DiscretizedOperator.solve through scipy's solve_banded, and
+poly_turning_points is turning_points through a Poly of Q, the two routes
+whose bits the direct gtsv call and the coefficient-list roots keep.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -22,13 +26,16 @@ from spectral_atlas.allencahn import (
     CubicFront,
     DiscretizedOperator,
     PoleProximityError,
+    TurningPointError,
     _gauss_rule,
     _Q_coef,
     a_of_k,
     period_integrals,
     turning_points,
 )
-from spectral_atlas.kernel import jacobi_sn_cn_dn
+from spectral_atlas.kernel import Poly, derivative, horner, jacobi_sn_cn_dn
+
+from kernel_oracle import poly_roots_of_poly
 
 
 def perturbed_eigs_near(
@@ -228,3 +235,29 @@ def descending_period_jet(F, E_const: float, kappa: float):
     J = -(np.array([wh, wh * u, wh * fu]) @ dW)
     J[1:] += np.array([wb, wb * _horner_desc(_deriv_desc(f), u)]) @ du
     return (mu_m, mu_p), (P, M, R), J
+
+
+def banded_solve(op: DiscretizedOperator, b, shift: complex = 0.0) -> np.ndarray:
+    """(H - shift I)^{-1} b through scipy.linalg.solve_banded's (1, 1) band."""
+    ab = np.zeros((3, op.n), np.result_type(float, shift))
+    ab[0, 1:] = op.off
+    ab[1] = op.diag - shift
+    ab[2, :-1] = op.off
+    return scipy.linalg.solve_banded((1, 1), ab, b)
+
+
+def poly_turning_points(F, E_const: float, kappa: float):
+    """turning_points with Q's roots taken from a Poly of its coefficients."""
+    q = _Q_coef(F, E_const, kappa)
+    if q[0] <= 0.0:
+        raise TurningPointError("no admissible interval: Q(0) <= 0")
+    real = [z.real for z in poly_roots_of_poly(Poly(q)).tolist() if z.imag == 0.0]
+    below = [r for r in real if r < 0.0]
+    above = [r for r in real if r > 0.0]
+    if not (below and above):
+        raise TurningPointError("no turning point on one side of 0")
+    mu = (max(below), min(above))
+    tol = 1e-6 * max(1.0, abs(E_const), abs(kappa))
+    if min(abs(horner(derivative(q), r)) for r in mu) < tol:
+        raise TurningPointError("turning point is not simple (separatrix)")
+    return mu

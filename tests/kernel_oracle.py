@@ -3,6 +3,8 @@
 resultant decides whether two polynomials share a root by the determinant of
 their Sylvester matrix, without computing any root.  poly_wronskian is the
 derivative wedge that the curve oracles build their Cramer solutions from.
+poly_roots_of_poly is kernel.poly_roots as it was when it took a Poly, whose
+bits the coefficient-list route keeps.
 """
 
 import numpy as np
@@ -34,3 +36,18 @@ def resultant(p: Poly, q: Poly) -> float:
 def poly_wronskian(f: Poly, g: Poly) -> Poly:
     """f ∧ g = f g' - f' g."""
     return f * g.deriv() - f.deriv() * g
+
+
+def poly_roots_of_poly(p: Poly) -> np.ndarray:
+    """All complex roots of a Poly via its monic companion matrix."""
+    if p.is_zero:
+        raise ValueError("poly_roots: zero polynomial")
+    c = p.coef
+    n = len(c) - 1
+    if n == 0:
+        return np.array([], dtype=complex)
+    monic = c / c[-1]
+    C = np.zeros((n, n))
+    C[1:, :-1] = np.eye(n - 1)
+    C[:, -1] = -monic[:-1]
+    return np.linalg.eigvals(C)

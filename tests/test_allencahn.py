@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,7 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_atlas import allencahn
+from spectral_atlas import allencahn, cli, kernel
 from spectral_atlas.allencahn import (
     CubicFront,
     IndeterminateIndexError,
@@ -30,9 +32,11 @@ from spectral_atlas.allencahn import (
 from spectral_atlas.kernel import Poly, elliptic_K_E
 
 from allencahn_oracle import (
+    banded_solve,
     descending_period_jet,
     lame_spectrum,
     perturbed_eigs_near,
+    poly_turning_points,
     restricted_matrix,
     tau_richardson,
 )
@@ -268,6 +272,17 @@ class TestDiscretization:
         with pytest.raises(ValueError):
             build_H_discrete(lambda x: x, 1.0, 8)
 
+    def test_n_over_max_cells(self):
+        # refused by its count before any array of length n exists
+        def no_samples(x):
+            raise AssertionError("f_prime sampled")
+
+        n = allencahn.MAX_CELLS + 1
+        with pytest.raises(ValueError, match=f"n = {n} cells") as info:
+            build_H_discrete(no_samples, 1.0, n)
+        assert type(info.value) is ValueError
+        assert allencahn.MAX_CELLS >= 250 * 4000  # far above README's n
+
     def test_arrays_are_read_only(self, op_half):
         for name in ("x", "fp", "diag", "off"):
             with pytest.raises(ValueError):
@@ -320,6 +335,43 @@ class TestDiscretization:
         x = op_half.solve(b, shift=-0.3 + 0.2j)
         A = op_half.matrix() - (-0.3 + 0.2j) * np.eye(op_half.n)
         assert np.allclose(A @ x, b, atol=1e-8)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.1, -2.5, 1e-9, -0.3 + 0.2j, 0.7 + 0j, 3j], ids=str)
+    @pytest.mark.parametrize("n", [16, 1000])
+    def test_solve_same_bits_as_solve_banded(self, n, shift):
+        op = cubic_operator(0.5, n=n)
+        rng = np.random.default_rng(n)
+        for b in (np.ones(n), rng.standard_normal(n)):
+            x, ref = op.solve(b, shift), banded_solve(op, b, shift)
+            assert x.dtype == ref.dtype and x.shape == ref.shape
+            assert x.tobytes() == ref.tobytes()
+
+    def test_solve_complex_rhs_same_bits(self):
+        op = cubic_operator(0.5, n=100)
+        b = np.array([1.0, 1j]) @ np.random.default_rng(2).standard_normal((2, 100))
+        x, ref = op.solve(b, 0.4), banded_solve(op, b, 0.4)
+        assert x.dtype == complex and x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "shift, bad", [(np.nan, None), (complex(0.0, np.nan), None), (np.inf, None), (0.1, 5)],
+        ids=["nan-shift", "nan-imag-shift", "inf-shift", "nan-b"],
+    )
+    def test_solve_rejects_non_finite(self, shift, bad):
+        op = cubic_operator(0.5, n=100)
+        b = np.ones(op.n)
+        if bad is not None:
+            b[bad] = np.nan
+        with pytest.raises(ValueError, match="not finite") as info:
+            op.solve(b, shift)
+        assert type(info.value) is ValueError
+
+    def test_solve_singular_raises(self):
+        # the Neumann Laplacian: H 1 = 0 exactly, and elimination meets a zero pivot
+        op = build_H_discrete(np.zeros(16), 1.0, 16)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            op.solve(np.ones(16))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            banded_solve(op, np.ones(16))
 
     def test_solve_matches_dense(self, op_half):
         rng = np.random.default_rng(0)
@@ -554,6 +606,8 @@ class TestCountsOnly:
 
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_lapack)
         monkeypatch.setattr(scipy.linalg, "solve_banded", no_lapack)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", no_lapack)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", no_lapack)
         op = cubic_operator(0.5, n=200)
         with pytest.raises(ValueError, match="not finite"):
             herglotz_h(op, 0.5, lam)
@@ -816,6 +870,32 @@ class TestPeriodJet:
         p = family_point(fr.F, 0.47, 0.02)
         assert (p.mu_minus, p.mu_plus) == mu and (p.P, p.M, p.R) == values
 
+    @pytest.mark.parametrize("k", [0.001, 0.05, 0.2, 0.35, 0.5, 0.65, 0.75, 0.86, 0.98])
+    def test_turning_points_same_as_poly_route(self, k):
+        # Q's coefficient list into poly_roots keeps the bits of the Poly route,
+        # and its failures: roots missing on one side, Q(0) <= 0, separatrices
+        F = CubicFront.from_k(k).F
+        for E in (-0.1, 0.0, 0.05, 0.3, 0.5, (1.0 + k**2) ** 2 / (8 * k**2), 0.9, 3.0):
+            for kappa in (-0.4, -0.02, 0.0, 1e-9, 0.013, 0.2, 0.7):
+                try:
+                    ref = poly_turning_points(F, E, kappa)
+                except allencahn.TurningPointError as e:
+                    with pytest.raises(allencahn.TurningPointError) as info:
+                        turning_points(F, E, kappa)
+                    assert str(info.value) == str(e)
+                    continue
+                assert turning_points(F, E, kappa) == ref
+
+    def test_turning_points_monic_overflow(self):
+        # the predicted point of `rs family --k 0.5 --ds 1e308`: 2 kappa is inf
+        F = CubicFront.from_k(0.5).F
+        with pytest.raises(allencahn.TurningPointError, match="not finite") as info:
+            turning_points(F, 9.320672520809967e292, 1e308)
+        assert "E = 9.320672520809967e+292" in str(info.value)
+        # finite coefficients whose quotient by the leading one overflows
+        with pytest.raises(allencahn.TurningPointError, match="E = 0.5, kappa = 0.0"):
+            turning_points(Poly([0.0, 0.0, 0.5, 0.0, -1e-310]), 0.5, 0.0)
+
     def test_tau_fold_rule(self):
         # a vanishing R row: dR/ds = 0 in every direction, a fold
         fr = CubicFront.from_k(0.5)
@@ -900,3 +980,36 @@ class TestTauAndFamily:
             for p in pts
         ]
         assert rows.tolist() == ref
+
+
+class TestDirectKernels:
+    def test_no_solve_banded_and_no_poly(self, capsys, monkeypatch):
+        # the solves call gtsv, not solve_banded, and the turning points hand
+        # Q's coefficient list to poly_roots: no corrector iterate builds a Poly
+        def no_solve_banded(*args, **kwargs):
+            raise AssertionError("solve_banded called")
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", no_solve_banded)
+        for argv in (
+            ["rs", "index", "--k", "0.5", "--n", "1000"],
+            ["rs", "index", "--k", "0.5", "--n", "1000", "--rho", "0.5"],
+            ["rs", "family", "--k", "0.5", "--steps", "40"],
+        ):
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        op = cubic_operator(0.5, n=800)
+        for rho, lam in ((0.2, -3.0 + 0.05j), (1.0, 1.0 + 1.0j), (0.6, -0.5)):
+            assert math.isfinite(abs(herglotz_h(op, rho, lam)))
+
+        front = CubicFront.from_k(0.5)
+        front.F  # the potential itself is the one Poly the family reads
+        built = []
+        real_init = kernel.Poly.__init__
+
+        def counting_init(self, coef):
+            built.append(1)
+            real_init(self, coef)
+
+        monkeypatch.setattr(kernel.Poly, "__init__", counting_init)
+        rows = family_table(front, 40, 0.01)
+        assert rows.shape == (41, 9) and built == []

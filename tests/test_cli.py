@@ -750,6 +750,14 @@ class TestExitCodes:
         assert out == ""
         assert "turning point" in err
 
+    def test_rs_family_monic_overflow_is_3(self, capsys):
+        # the predicted point has 2 kappa = inf: Q has no finite monic form
+        code, out, err = run(
+            ["rs", "family", "--k", "0.5", "--ds", "1e308", "--steps", "1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "monic coefficients are not finite at E = 9.32" in err
+
     def test_impulse_overflow_is_3(self, capsys):
         code, out, err = run(
             ["integrator", "impulse", "--rho1", "2.2", "--rho2", "1.1", "--t-end", "60"],
@@ -782,6 +790,9 @@ class TestExitCodes:
             # about 4e153 and 5.1e9 time steps: refused before any allocation
             ["integrator", "impulse", "--preset", "ag_in", "--rho1", "1e300", "--t-end", "1"],
             ["integrator", "impulse", "--t-end", "1e6"],
+            # 1e8 cells and 1e10 grid cells: refused by their counts before any allocation
+            ["rs", "index", "--k", "0.5", "--n", "100000000"],
+            ["phase", "--preset", "example1", "--grid", "100000"],
         ],
         ids=shlex.join,
     )

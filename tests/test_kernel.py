@@ -15,7 +15,7 @@ from spectral_atlas.kernel import (
     poly_roots,
 )
 
-from kernel_oracle import poly_wronskian, resultant
+from kernel_oracle import poly_roots_of_poly, poly_wronskian, resultant
 
 
 class TestPoly:
@@ -147,20 +147,56 @@ class TestWronskian:
 class TestRootsResultant:
     def test_roots_roundtrip(self):
         roots = np.array([1.0, -0.5, 3.0])
-        r = poly_roots(Poly.from_roots(roots))
+        r = poly_roots(Poly.from_roots(roots).coef)
         assert np.allclose(sorted(r.real), sorted(roots), atol=1e-9)
         assert np.allclose(r.imag, 0, atol=1e-9)
 
     def test_roots_complex(self):
-        r = poly_roots(Poly([1.0, 0.0, 1.0]))  # x^2 + 1
+        r = poly_roots(Poly([1.0, 0.0, 1.0]).coef)  # x^2 + 1
         assert np.allclose(sorted(r.imag), [-1, 1], atol=1e-12)
 
     def test_roots_constant(self):
-        assert poly_roots(Poly([3.0])).size == 0
+        assert poly_roots(Poly([3.0]).coef).size == 0
 
     def test_roots_zero_raises(self):
         with pytest.raises(ValueError):
-            poly_roots(Poly.zero())
+            poly_roots(Poly.zero().coef)
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            [1.0, -3.0, 2.0],
+            [2.0, 0.0, -1.25, 0.0, 0.25],
+            [1.0, 2.0, 0.0, 0.0],  # padded with zeros above its degree
+            [0.5, -1.0, 0.0, 0.25, -0.0],
+            [1e-3, 7.0, -2.5, 1e3, 4.0, -1e-2],
+            [3.0],
+            [3.0, 0.0, -0.0],  # degree 0 after trimming
+        ],
+        ids=str,
+    )
+    def test_list_same_bits_as_poly_route(self, c):
+        ref = poly_roots_of_poly(Poly(c))
+        for arg in (c, np.array(c)):
+            r = poly_roots(arg)
+            assert r.dtype == ref.dtype and r.tobytes() == ref.tobytes()
+
+    def test_random_lists_same_bits_as_poly_route(self):
+        rng = np.random.default_rng(4)
+        for deg in range(1, 9):
+            for _ in range(10):
+                c = rng.standard_normal(deg + 1).tolist()
+                ref = poly_roots_of_poly(Poly(c))
+                assert poly_roots(c).tobytes() == ref.tobytes()
+
+    def test_degree_0_list_has_no_roots(self):
+        r = poly_roots([3.0, 0.0])
+        assert r.size == 0 and r.dtype == complex
+
+    @pytest.mark.parametrize("c", [[0.0], [0.0, -0.0, 0.0], []], ids=str)
+    def test_zero_list_raises(self, c):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            poly_roots(c)
 
     def test_resultant_shared_root(self):
         p = Poly.from_roots([1.0, 2.0])

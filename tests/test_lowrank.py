@@ -143,7 +143,7 @@ class TestDecomposeRandom:
         ev = np.sort_complex(np.linalg.eigvals(perturbed_matrix(p, r1, r2)))
         from spectral_atlas.kernel import poly_roots
 
-        roots = np.sort_complex(poly_roots(dec.charpoly(r1, r2)))
+        roots = np.sort_complex(poly_roots(dec.charpoly(r1, r2).coef))
         assert np.allclose(ev, roots, atol=1e-7)
 
 

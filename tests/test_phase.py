@@ -155,6 +155,18 @@ class TestPhaseGrid:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             phase_grid(prob, [0.0, np.inf], [0.0])
 
+    def test_over_max_cells_raises(self, prob, monkeypatch):
+        # refused by its cell count before the label arrays are allocated
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("label arrays allocated")
+
+        monkeypatch.setattr(phase.np, "empty", no_alloc)
+        side = np.zeros(100000)
+        with pytest.raises(ValueError, match="10000000000 grid cells") as info:
+            phase_grid(prob, side, side)
+        assert type(info.value) is ValueError
+        assert phase.MAX_CELLS >= 100 * 100 * 100  # far above README's --grid 100
+
     def test_csv(self, prob):
         g = phase_grid(prob, [-1.0, 0.0], [0.0, 1.0])
         lines = g.to_csv().strip().splitlines()
