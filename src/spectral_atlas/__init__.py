@@ -1,14 +1,14 @@
 """Spectral phase portraits of rank-one and rank-two matrix perturbations.
 
 Subpackage map:
-  kernel     - polynomial values, derivatives and roots, elliptic functions
+  kernel     - polynomial values and derivatives, elliptic functions
   lowrank    - the four-polynomial determinant decomposition
   curves     - constant-eigenvalue, envelope, Hopf and triple-point loci
   phase      - region classification over the (rho1, rho2) plane
   integrator - line-attractor network models and stacked gain analysis
   continuum  - integral-coupled diffusion eigenbranches
-  allencahn  - nonlocal reaction-diffusion front stability; its tridiagonal
-               solvers are the only ones numpy lacks
+  allencahn  - nonlocal reaction-diffusion front stability; it calls LAPACK
+               directly: stebz counts, gtsv solves, geev turning points
   cli        - command line front end; imports allencahn only for rs
 """
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernel import Poly, derivative, elliptic_K_E, horner, jacobi_sn_cn_dn, poly_roots
+from .kernel import Poly, derivative, elliptic_K_E, horner, jacobi_sn_cn_dn
 
 
 class IndeterminateIndexError(ArithmeticError):
@@ -296,8 +296,12 @@ def stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
     8 eps ||H||_inf) with top = max(1, |lambda_max|): the top of the spectrum
     sets the scale of the answer, the O(1/h^2) Laplacian tail in the row-sum
     norm only the rounding of the counts (stebz rounds on the same norm).
-    top is 1 when two counts place lambda_max in (-1, 1]; only otherwise is
-    lambda_max bisected.  An eigenvalue of H in (-tol, tol], or at rho = 1 a
+    Counts place lambda_max first: none in (1, 2||H||_inf] and some in
+    (tol_1, 2||H||_inf], with tol_1 = max(1e-9, 8 eps ||H||_inf), put it in
+    (tol_1, 1], so top = 1 and that second count is n_plus(H) (a front's
+    index takes three counts in all); none above tol_1 but some above -1 put
+    it in (-1, tol_1], top = 1 again.  Only a lambda_max above 1 or at most
+    -1 is bisected.  An eigenvalue of H in (-tol, tol], or at rho = 1 a
     numerically zero <1, H^{-1} 1>, raises IndeterminateIndexError; rho
     outside (0,1] raises ValueError.
     """
@@ -305,16 +309,20 @@ def stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
         raise ValueError("need rho in (0,1]")
     # clear of the spectrum whatever the rounding of the row sums
     above = 2.0 * op.norm
-    if op.count_eigvals(1.0, above) == 0 and op.count_eigvals(-1.0, above) > 0:
-        top = 1.0  # lambda_max in (-1, 1]
-    else:
-        top = max(1.0, abs(op._ends[1]))
-    tol = max(1e-9 * top, 8.0 * np.finfo(float).eps * op.norm)
+    rounding = 8.0 * np.finfo(float).eps * op.norm
+    tol = max(1e-9, rounding)  # the tol at top = 1
+    # nothing above 1: lambda_max lies in (tol, 1] if this count, n_plus(H),
+    # is positive, and in (-1, tol] if it is 0 but something lies above -1
+    n_plus_H = op.count_eigvals(tol, above) if op.count_eigvals(1.0, above) == 0 else None
+    if n_plus_H is None or n_plus_H == 0 and op.count_eigvals(-1.0, above) == 0:
+        # lambda_max above 1, or at most -1 (n_plus_H is 0 then): bisect it
+        tol = max(1e-9 * max(1.0, abs(op._ends[1])), rounding)
     if op.count_eigvals(-tol, tol) > 0:
         raise IndeterminateIndexError(
             f"H has an eigenvalue within {tol:.3g} of 0; index not decided"
         )
-    n_plus_H = op.count_eigvals(tol, above)
+    if n_plus_H is None:
+        n_plus_H = op.count_eigvals(tol, above)
     ones = np.ones(op.n)
     y = op.solve(ones)
     inner = float(op.h * (ones @ y))
@@ -418,33 +426,57 @@ def _Q_coef(F: Poly, E_const: float, kappa: float) -> list[float]:
     return q
 
 
+def _turning_error(what: str, E_const: float, kappa: float) -> TurningPointError:
+    return TurningPointError(f"{what} at E = {E_const!r}, kappa = {kappa!r}")
+
+
+def _turning(F: Poly, E_const: float, kappa: float):
+    """turning_points with what period_jet reuses: Q's ascending coefficient
+    list q, the pair (mu_-, mu_+) and the slopes Q'(mu_-), Q'(mu_+)."""
+    q = _Q_coef(F, E_const, kappa)
+    if q[0] <= 0.0:
+        raise _turning_error("no admissible interval: Q(0) <= 0", E_const, kappa)
+    n = len(q) - 1  # degree once trailing zeros are trimmed; q[0] > 0
+    while q[n] == 0.0:
+        n -= 1
+    monic = [a / q[n] for a in q[: n + 1]]
+    if not all(map(math.isfinite, monic)):
+        raise _turning_error("Q's monic coefficients are not finite", E_const, kappa)
+    real = []
+    if n > 0:
+        # the companion matrix of q / q[n], eigenvalues only
+        C = np.eye(n, k=-1, order="F")
+        C[:, -1] = [-a for a in monic[:n]]
+        wr, wi, _, _, info = scipy.linalg.lapack.dgeev(
+            C, compute_vl=0, compute_vr=0, overwrite_a=1
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"geev failed with info = {info}")
+        real = [r for r, i in zip(wr.tolist(), wi.tolist()) if i == 0.0]
+    below = [r for r in real if r < 0.0]
+    above = [r for r in real if r > 0.0]
+    if not (below and above):
+        raise _turning_error("no turning point on one side of 0", E_const, kappa)
+    mu = (max(below), min(above))
+    # simplicity: Q' must not vanish at the endpoints
+    dq = derivative(q)
+    slopes = [horner(dq, r) for r in mu]
+    if min(map(abs, slopes)) < 1e-6 * max(1.0, abs(E_const), abs(kappa)):
+        raise TurningPointError("turning point is not simple (separatrix)")
+    return q, mu, slopes
+
+
 def turning_points(F: Poly, E_const: float, kappa: float):
     """The real roots of Q(u) = 2E + 2 kappa u - 2F(u) nearest 0 on each side.
 
     Q must be positive at 0, its monic coefficients finite and both roots
     simple; the returned pair brackets the classical oscillation interval of
-    the quadrature.  The roots come from kernel.poly_roots on Q's coefficient
-    list.
+    the quadrature.  The roots are the eigenvalues of the companion matrix of
+    Q / Q's leading coefficient (trailing zeros trimmed) with a zero
+    imaginary part, from LAPACK's geev called directly, without vectors, as
+    count_eigvals calls stebz; LinAlgError if geev fails.
     """
-    q = _Q_coef(F, E_const, kappa)
-    if q[0] <= 0.0:
-        raise TurningPointError("no admissible interval: Q(0) <= 0")
-    lead = next(a for a in reversed(q) if a != 0.0)
-    if not all(math.isfinite(a / lead) for a in q):
-        raise TurningPointError(
-            f"Q's monic coefficients are not finite at E = {E_const!r}, kappa = {kappa!r}"
-        )
-    real = [z.real for z in poly_roots(q).tolist() if z.imag == 0.0]
-    below = [r for r in real if r < 0.0]
-    above = [r for r in real if r > 0.0]
-    if not (below and above):
-        raise TurningPointError("no turning point on one side of 0")
-    mu = (max(below), min(above))
-    # simplicity: Q' must not vanish at the endpoints
-    tol = 1e-6 * max(1.0, abs(E_const), abs(kappa))
-    if min(abs(horner(derivative(q), r)) for r in mu) < tol:
-        raise TurningPointError("turning point is not simple (separatrix)")
-    return mu
+    return _turning(F, E_const, kappa)[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -482,18 +514,15 @@ def period_jet(F: Poly, E_const: float, kappa: float):
     Returns ((mu_-, mu_+), (P, M, R), J) with J[i] = (dX/dE, dX/dkappa) for
     X = P, M, R.
     """
-    mu_m, mu_p = turning_points(F, E_const, kappa)
+    c, (mu_m, mu_p), slopes = _turning(F, E_const, kappa)
     # c = -W: Q (ascending) divided by u - mu_m, then by u - mu_p, by
     # synthetic division from the top; each remainder, the constant term
     # (zero up to rounding), is dropped.  dc carries the derivatives
     # (d/dE, d/dkappa) of every coefficient: dQ/dE = 2, dQ/dkappa = 2u
-    c = _Q_coef(F, E_const, kappa)
-    dq = derivative(c)
     dc = [(0.0, 0.0)] * len(c)
     dc[0], dc[1] = (2.0, 0.0), (0.0, 2.0)
     dmu = []
-    for r in (mu_m, mu_p):
-        slope = horner(dq, r)
+    for r, slope in zip((mu_m, mu_p), slopes):
         dr = (-2.0 / slope, -2.0 * r / slope)
         dmu.append(dr)
         for i in range(len(c) - 2, -1, -1):

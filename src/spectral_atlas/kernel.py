@@ -1,13 +1,16 @@
-"""Foundation numerics: polynomial values, derivatives and roots; elliptic functions.
+"""Foundation numerics: polynomial values and derivatives; elliptic functions.
 
 Polynomials are stored as dense ascending coefficient vectors; degrees stay
 small (bounded by matrix dimension) so no sparse representation is needed.
 `horner` and `derivative` are the package's one evaluator and derivative rule;
-they and `poly_roots` take ascending coefficient lists or arrays.
+they take ascending coefficient lists or arrays.  The one polynomial root
+finder in the package, the front's turning points, calls LAPACK's geev on a
+companion matrix itself (allencahn.turning_points).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,29 +103,6 @@ def _coef(p):
     return p.coef if isinstance(p, Poly) else np.atleast_1d(np.asarray(p, float))
 
 
-def poly_roots(c) -> np.ndarray:
-    """All complex roots of the polynomial with ascending coefficients c (a
-    list or an array), by a companion-matrix eigensolve.
-
-    Trailing zeros are trimmed first, as Poly trims them, and the companion
-    matrix is built from c / c[-1]; a constant has no roots.  ValueError for
-    the zero polynomial.
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.size - 1  # degree once trailing zeros are trimmed
-    while n >= 0 and c[n] == 0.0:
-        n -= 1
-    if n < 0:
-        raise ValueError("poly_roots: zero polynomial")
-    if n == 0:
-        return np.array([], dtype=complex)
-    # monic companion matrix, ascending input
-    C = np.zeros((n, n))
-    C[1:, :-1] = np.eye(n - 1)
-    C[:, -1] = -(c[:n] / c[n])
-    return np.linalg.eigvals(C)
-
-
 # ---------------------------------------------------------------------------
 # elliptic functions (modulus convention: k, not the parameter m = k^2)
 
@@ -133,11 +113,11 @@ def elliptic_K_E(k: float) -> tuple[float, float]:
     """Complete elliptic integrals K(k), E(k) by the arithmetic-geometric mean."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_K_E: modulus k={k} outside [0,1)")
-    a, b, c = 1.0, float(np.sqrt(1.0 - k * k)), float(k)
+    a, b, c = 1.0, math.sqrt(1.0 - k * k), float(k)
     csum = 0.5 * c * c  # 2^{n-1} c_n^2 accumulator, n = 0 term
     pow2 = 0.5
     while abs(c) > _AGM_TOL:
-        a, b, c = 0.5 * (a + b), float(np.sqrt(a * b)), 0.5 * (a - b)
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
         csum += pow2 * c * c
     K = np.pi / (2.0 * a)
@@ -146,26 +126,36 @@ def elliptic_K_E(k: float) -> tuple[float, float]:
 
 
 def jacobi_sn_cn_dn(x, k: float):
-    """Jacobi sn, cn, dn via the descending Landen (Gauss) transformation."""
+    """Jacobi sn, cn, dn via the descending Landen (Gauss) transformation.
+
+    No clipping is needed: each stage's arcsin argument is at most
+    c_i/a_i < 1 in size, and 1 - k^2 sn^2 >= 1 - k^2 > 0.  A stage with
+    c_i/a_i <= 2^-56 only halves phi: its arcsin term is below a quarter ulp
+    of phi, so phi plus that term rounds to phi.
+    """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"jacobi_sn_cn_dn: modulus k={k} outside [0,1)")
     x = np.asarray(x, dtype=float)
     if k == 0.0:
         sn, cn, dn = np.sin(x), np.cos(x), np.ones_like(x)
     else:
-        a, b, c = 1.0, float(np.sqrt(1.0 - k * k)), float(k)
+        a, b, c = 1.0, math.sqrt(1.0 - k * k), float(k)
         aa, cc = [a], [c]
         while abs(c) > _AGM_TOL:
-            a, b, c = 0.5 * (a + b), float(np.sqrt(a * b)), 0.5 * (a - b)
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
             aa.append(a)
             cc.append(c)
         n = len(aa) - 1
         phi = (2.0**n) * aa[n] * x
         for i in range(n, 0, -1):
-            phi = 0.5 * (phi + np.arcsin(np.clip(cc[i] / aa[i] * np.sin(phi), -1, 1)))
+            r = cc[i] / aa[i]
+            if r <= 2.0**-56:
+                phi = 0.5 * phi
+            else:
+                phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
         sn = np.sin(phi)
         cn = np.cos(phi)
-        dn = np.sqrt(np.clip(1.0 - (k * sn) ** 2, 0.0, None))
+        dn = np.sqrt(1.0 - (k * sn) ** 2)
     if sn.ndim == 0:
         return float(sn), float(cn), float(dn)
     return sn, cn, dn

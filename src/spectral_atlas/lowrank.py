@@ -13,6 +13,8 @@ linearly dependent.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +236,20 @@ def _det_charpoly(A: np.ndarray, radius: float) -> np.ndarray:
     return _cheb2poly_rows(cheb).reshape(ys.shape)
 
 
+def _fit_overflows(n: int, radius: float) -> bool:
+    """Whether chebfit's column norms over _det_charpoly's n+1 nodes may
+    overflow, in O(1) and with no Vandermonde built.
+
+    The top column, T_n at the nodes, is the largest.  At the outermost node
+    x0 = radius cos(pi/(2n+2)) > 1 (radius >= 3), T_n(x0) = cosh(n acosh x0) <= e^(n acosh x0),
+    so its squared norm is at most (n+1) e^(2n acosh x0).  An overflowing
+    norm scales the top columns to zero and the fit drops the top
+    coefficients, or LAPACK fails on the scaled matrix.
+    """
+    x0 = radius * math.cos(math.pi / (2 * (n + 1)))
+    return math.log(n + 1) + 2 * n * math.acosh(x0) >= math.log(sys.float_info.max)
+
+
 # basis settings (rho1, rho2) of the interpolated determinants d00, d10,
 # d01, d11; a rank-one problem takes the first two
 _BASIS_RHO = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
@@ -247,7 +263,8 @@ def decompose_cofactor(p: LowRankProblem) -> AKDecomposition:
     stacked determinant call, and the four polynomials are recovered by
     differencing the interpolants.
 
-    FloatingPointError when scale**N, a sample or a coefficient is not finite.
+    FloatingPointError when scale**N, a sample or a coefficient is not
+    finite, or when the fit's Vandermonde column norms may overflow.
     """
     n, scale = p.n, p.scale
     overflow = FloatingPointError(
@@ -258,6 +275,8 @@ def decompose_cofactor(p: LowRankProblem) -> AKDecomposition:
         chop = 1e-13 * max(1.0, scale) ** n * (n + 1)
     except OverflowError:
         raise overflow from None
+    if _fit_overflows(n, radius):
+        raise overflow
     d = _det_charpoly(perturbed_matrix(p, *_BASIS_RHO[:, :2 * p.rank]), radius)
     if not np.all(np.isfinite(d)):
         raise overflow

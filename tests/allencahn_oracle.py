@@ -10,9 +10,11 @@ allencahn.lambda1.  tau_richardson takes the derivatives of the period
 integrals by finite differences, apart from period_jet's exact Jacobian.
 descending_period_jet is period_jet as it was when it evaluated descending
 coefficient lists with a Horner loop of its own, before kernel.horner.
-banded_solve is DiscretizedOperator.solve through scipy's solve_banded, and
-poly_turning_points is turning_points through a Poly of Q, the two routes
-whose bits the direct gtsv call and the coefficient-list roots keep.
+banded_solve is DiscretizedOperator.solve through scipy's solve_banded, the
+route whose bits the direct gtsv call keeps.  eigvals_turning_points is
+turning_points through np.linalg.eigvals, and four_count_stability_index
+stability_index with one Sturm count more: the routes whose results the
+direct geev call and the three-count index keep.
 """
 
 from fractions import Fraction
@@ -25,6 +27,7 @@ import scipy.sparse.linalg
 from spectral_atlas.allencahn import (
     CubicFront,
     DiscretizedOperator,
+    IndeterminateIndexError,
     PoleProximityError,
     TurningPointError,
     _gauss_rule,
@@ -35,7 +38,7 @@ from spectral_atlas.allencahn import (
 )
 from spectral_atlas.kernel import Poly, derivative, horner, jacobi_sn_cn_dn
 
-from kernel_oracle import poly_roots_of_poly
+from kernel_oracle import poly_roots
 
 
 def perturbed_eigs_near(
@@ -246,18 +249,66 @@ def banded_solve(op: DiscretizedOperator, b, shift: complex = 0.0) -> np.ndarray
     return scipy.linalg.solve_banded((1, 1), ab, b)
 
 
-def poly_turning_points(F, E_const: float, kappa: float):
-    """turning_points with Q's roots taken from a Poly of its coefficients."""
+def eigvals_turning_points(F, E_const: float, kappa: float):
+    """turning_points with Q's roots from np.linalg.eigvals on the companion
+    matrix (kernel_oracle.poly_roots), failures worded as turning_points
+    words them."""
+    where = f" at E = {E_const!r}, kappa = {kappa!r}"
     q = _Q_coef(F, E_const, kappa)
     if q[0] <= 0.0:
-        raise TurningPointError("no admissible interval: Q(0) <= 0")
-    real = [z.real for z in poly_roots_of_poly(Poly(q)).tolist() if z.imag == 0.0]
+        raise TurningPointError("no admissible interval: Q(0) <= 0" + where)
+    lead = next(a for a in reversed(q) if a != 0.0)
+    if not all(np.isfinite(a / lead) for a in q):
+        raise TurningPointError("Q's monic coefficients are not finite" + where)
+    real = [z.real for z in poly_roots(q).tolist() if z.imag == 0.0]
     below = [r for r in real if r < 0.0]
     above = [r for r in real if r > 0.0]
     if not (below and above):
-        raise TurningPointError("no turning point on one side of 0")
+        raise TurningPointError("no turning point on one side of 0" + where)
     mu = (max(below), min(above))
     tol = 1e-6 * max(1.0, abs(E_const), abs(kappa))
     if min(abs(horner(derivative(q), r)) for r in mu) < tol:
         raise TurningPointError("turning point is not simple (separatrix)")
     return mu
+
+
+def four_count_stability_index(op: DiscretizedOperator, rho: float = 1.0) -> dict:
+    """stability_index as it was when two counts, (1, 2||H||_inf] and
+    (-1, 2||H||_inf], placed lambda_max before tol was set, and a fourth
+    counted n_plus(H) after the check at 0."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("need rho in (0,1]")
+    above = 2.0 * op.norm
+    if op.count_eigvals(1.0, above) == 0 and op.count_eigvals(-1.0, above) > 0:
+        top = 1.0
+    else:
+        top = max(1.0, abs(op._ends[1]))
+    tol = max(1e-9 * top, 8.0 * np.finfo(float).eps * op.norm)
+    if op.count_eigvals(-tol, tol) > 0:
+        raise IndeterminateIndexError(
+            f"H has an eigenvalue within {tol:.3g} of 0; index not decided"
+        )
+    n_plus_H = op.count_eigvals(tol, above)
+    ones = np.ones(op.n)
+    y = op.solve(ones)
+    inner = float(op.h * (ones @ y))
+    if rho < 1.0:
+        return {
+            "n_plus_H": n_plus_H,
+            "inner": inner,
+            "n_plus_perturbed": n_plus_H,
+            "has_kernel": False,
+        }
+    if abs(inner) < 1e-10 * max(1.0, 2.0 * op.L):
+        raise IndeterminateIndexError(
+            "<1, H^{-1} 1> is numerically zero; index not decided"
+        )
+    s_neg = [np.sum(op.solve(ones, mu)) < 0.0 for mu in (tol, -tol)]
+    others = int(s_neg[1]) - int(s_neg[0])
+    g0 = 1.0 - op.h * (op.fp @ y) / (2.0 * op.L)
+    return {
+        "n_plus_H": n_plus_H,
+        "inner": inner,
+        "n_plus_perturbed": n_plus_H - (1 if inner > 0 else 0),
+        "has_kernel": bool(others == 0 and abs(2.0 * op.L * g0 / inner) < tol),
+    }

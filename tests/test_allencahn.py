@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -34,9 +35,10 @@ from spectral_atlas.kernel import Poly, elliptic_K_E
 from allencahn_oracle import (
     banded_solve,
     descending_period_jet,
+    eigvals_turning_points,
+    four_count_stability_index,
     lame_spectrum,
     perturbed_eigs_near,
-    poly_turning_points,
     restricted_matrix,
     tau_richardson,
 )
@@ -383,6 +385,11 @@ class TestDiscretization:
         assert np.allclose(x, ref, atol=1e-8)
 
 
+def constant_H(c: float, n: int = 200):
+    """H on [-1, 1] with the constant f'(u) = c: levels c - (2/h sin(pi m/2n))^2."""
+    return build_H_discrete(np.full(n, c), 1.0, n)
+
+
 class TestStabilityIndex:
     @pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
     def test_cubic_front_stable(self, k):
@@ -471,6 +478,43 @@ class TestStabilityIndex:
         for rho in (0.2, 0.5, 0.8, 0.95):
             near = np.abs(perturbed_eigs_near(op_half, rho, 1e-5, k=1))
             assert near[0] > 1e-3
+
+    @pytest.mark.parametrize(
+        "top, make",
+        [
+            ("above 1", lambda: build_H_discrete(lambda x: 3.0 - x**2, 2.0, 400)),
+            # the second Neumann level at 0: indeterminate at tol = 1e-9
+            # lambda_max, not at 1e-9
+            ("above 1", lambda: constant_H((200 * math.sin(math.pi / 400)) ** 2)),
+            ("in (tol, 1]", lambda: constant_H(0.5)),
+            ("in (tol, 1]", lambda: cubic_operator(0.65, n=300)),
+            # the two below are indeterminate
+            ("in (-1, tol]", lambda: constant_H(1e-12)),
+            ("in (-1, tol]", lambda: constant_H(0.0, 64)),
+            ("in (-1, tol]", lambda: constant_H(-0.5)),
+            ("at most -1", lambda: constant_H(-1.5)),
+            ("at most -1", lambda: constant_H(-50.0)),
+        ],
+    )
+    def test_same_as_four_count_route(self, top, make):
+        op = make()
+        lam_max = op.eigvals()[-1]
+        tol = max(1e-9, 8.0 * np.finfo(float).eps * op.norm)
+        assert {
+            "above 1": lam_max > 1.0,
+            "in (tol, 1]": tol < lam_max <= 1.0,
+            "in (-1, tol]": -1.0 < lam_max <= tol,
+            "at most -1": lam_max <= -1.0,
+        }[top]
+
+        def outcome(index, rho):
+            try:
+                return index(op, rho)
+            except IndeterminateIndexError as e:
+                return str(e)
+
+        for rho in (1.0, 0.5):
+            assert outcome(stability_index, rho) == outcome(four_count_stability_index, rho)
 
     def test_indeterminate_reported(self):
         # symmetric double well with zero-mean 1/H^{-1} pairing is atypical;
@@ -870,21 +914,40 @@ class TestPeriodJet:
         p = family_point(fr.F, 0.47, 0.02)
         assert (p.mu_minus, p.mu_plus) == mu and (p.P, p.M, p.R) == values
 
+    @staticmethod
+    def assert_same_as_eigvals_route(F, E, kappa):
+        try:
+            ref = eigvals_turning_points(F, E, kappa)
+        except allencahn.TurningPointError as e:
+            with pytest.raises(allencahn.TurningPointError) as info:
+                turning_points(F, E, kappa)
+            assert str(info.value) == str(e)
+            return str(e).split(" at E")[0]
+        assert turning_points(F, E, kappa) == ref
+        return "ok"
+
     @pytest.mark.parametrize("k", [0.001, 0.05, 0.2, 0.35, 0.5, 0.65, 0.75, 0.86, 0.98])
     def test_turning_points_same_as_poly_route(self, k):
-        # Q's coefficient list into poly_roots keeps the bits of the Poly route,
-        # and its failures: roots missing on one side, Q(0) <= 0, separatrices
+        # geev on Q's companion matrix keeps the bits of the np.linalg.eigvals
+        # route, and its failures: roots missing on one side, Q(0) <= 0,
+        # separatrices
         F = CubicFront.from_k(k).F
         for E in (-0.1, 0.0, 0.05, 0.3, 0.5, (1.0 + k**2) ** 2 / (8 * k**2), 0.9, 3.0):
             for kappa in (-0.4, -0.02, 0.0, 1e-9, 0.013, 0.2, 0.7):
-                try:
-                    ref = poly_turning_points(F, E, kappa)
-                except allencahn.TurningPointError as e:
-                    with pytest.raises(allencahn.TurningPointError) as info:
-                        turning_points(F, E, kappa)
-                    assert str(info.value) == str(e)
-                    continue
-                assert turning_points(F, E, kappa) == ref
+                self.assert_same_as_eigvals_route(F, E, kappa)
+
+    @pytest.mark.parametrize("k", [0.87, 0.95, 0.98])
+    def test_turning_points_same_at_family_starts(self, k):
+        # the family start and the first predicted points around it, where
+        # the trace leaves the window of two turning points from k = 0.87 up
+        F = CubicFront.from_k(k).F
+        P_E, P_k = family_point(F, 0.5, 0.0).jac[0].tolist()
+        norm = math.hypot(P_E, P_k)
+        seen = set()
+        for ds in (0.0, 1e-4, -1e-4, 1e-3, -1e-3, 0.01, -0.01, 0.05, -0.05, 0.3):
+            E, kappa = 0.5 - ds * P_k / norm, ds * P_E / norm
+            seen.add(self.assert_same_as_eigvals_route(F, E, kappa))
+        assert {"ok", "no turning point on one side of 0"} <= seen
 
     def test_turning_points_monic_overflow(self):
         # the predicted point of `rs family --k 0.5 --ds 1e308`: 2 kappa is inf
@@ -983,13 +1046,8 @@ class TestTauAndFamily:
 
 
 class TestDirectKernels:
-    def test_no_solve_banded_and_no_poly(self, capsys, monkeypatch):
-        # the solves call gtsv, not solve_banded, and the turning points hand
-        # Q's coefficient list to poly_roots: no corrector iterate builds a Poly
-        def no_solve_banded(*args, **kwargs):
-            raise AssertionError("solve_banded called")
-
-        monkeypatch.setattr(scipy.linalg, "solve_banded", no_solve_banded)
+    @staticmethod
+    def run_front_commands(capsys):
         for argv in (
             ["rs", "index", "--k", "0.5", "--n", "1000"],
             ["rs", "index", "--k", "0.5", "--n", "1000", "--rho", "0.5"],
@@ -1000,6 +1058,15 @@ class TestDirectKernels:
         op = cubic_operator(0.5, n=800)
         for rho, lam in ((0.2, -3.0 + 0.05j), (1.0, 1.0 + 1.0j), (0.6, -0.5)):
             assert math.isfinite(abs(herglotz_h(op, rho, lam)))
+
+    def test_no_solve_banded_and_no_poly(self, capsys, monkeypatch):
+        # the solves call gtsv, not solve_banded, and the turning points take
+        # Q's coefficient list: no corrector iterate builds a Poly
+        def no_solve_banded(*args, **kwargs):
+            raise AssertionError("solve_banded called")
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", no_solve_banded)
+        self.run_front_commands(capsys)
 
         front = CubicFront.from_k(0.5)
         front.F  # the potential itself is the one Poly the family reads
@@ -1013,3 +1080,25 @@ class TestDirectKernels:
         monkeypatch.setattr(kernel.Poly, "__init__", counting_init)
         rows = family_table(front, 40, 0.01)
         assert rows.shape == (41, 9) and built == []
+
+    def test_no_numpy_eigvals(self, capsys, monkeypatch):
+        # the turning points call geev on Q's companion matrix themselves
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        self.run_front_commands(capsys)
+
+    def test_index_makes_three_counts(self, capsys, monkeypatch):
+        # (1, 2||H||], then (tol, 2||H||], which is n_plus(H), then (-tol, tol]
+        calls = []
+        real = allencahn.DiscretizedOperator.count_eigvals
+
+        def counted(self, lo, hi):
+            calls.append((lo, hi))
+            return real(self, lo, hi)
+
+        monkeypatch.setattr(allencahn.DiscretizedOperator, "count_eigvals", counted)
+        assert cli.main(["rs", "index", "--k", "0.5", "--n", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_plus_H"] == 1
+        assert len(calls) == 3

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -615,6 +616,18 @@ class TestSubcommands:
         code, out, _ = run(["rs", "index", "--k", "0.001", "--n", "300"], capsys)
         assert code == 3 or json.loads(out)["n_plus_H"] == 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the fixed first step (ds = 0.01) moves kappa alone and leaves the "
+        "narrow window between the turning point u = 1 and 1/k, so the trace "
+        "exits 3 with no turning point on one side of 0",
+    )
+    def test_rs_family_from_k_087(self, capsys):
+        code, out, _ = run(["rs", "family", "--k", "0.87", "--steps", "2"], capsys)
+        assert code == 0
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        assert len(lines) == 1 + 3
+
 
 class TestExitCodes:
     def test_bad_range_is_2(self, capsys):
@@ -749,6 +762,22 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "turning point" in err
+
+    def test_rs_family_inadmissible_interval_names_the_point(self, capsys):
+        # the trace runs into a point where Q(0) = 2E <= 0
+        code, out, err = run(
+            ["rs", "family", "--k", "0.5", "--ds", "0.05", "--steps", "20"], capsys
+        )
+        assert (code, out) == (3, "")
+        m = re.search(r"no admissible interval: Q\(0\) <= 0 at E = (\S+), kappa = (\S+)", err)
+        assert m and float(m.group(1)) <= 0.0 and math.isfinite(float(m.group(2)))
+
+    def test_rs_family_one_sided_turning_points_name_the_point(self, capsys):
+        # the first predicted point moves kappa alone by ds = 0.01
+        code, out, err = run(["rs", "family", "--k", "0.9", "--steps", "2"], capsys)
+        assert (code, out) == (3, "")
+        m = re.search(r"no turning point on one side of 0 at E = (\S+), kappa = (\S+)$", err)
+        assert m and abs(float(m.group(1)) - 0.5) < 1e-12 and float(m.group(2)) == 0.01
 
     def test_rs_family_monic_overflow_is_3(self, capsys):
         # the predicted point has 2 kappa = inf: Q has no finite monic form
@@ -1042,6 +1071,21 @@ class TestOverflowExits:
         code, out, err = run([command, "--input", str(path)], capsys)
         assert (code, out) == (3, "")
         assert "n = 2" in err and "1e+200" in err
+
+    @pytest.mark.parametrize("s", [1e77, 1e150])
+    def test_rank_deficient_fit_is_3_or_exact(self, tmp_path, capsys, s):
+        # chebfit's top column norm overflows here: no split missing D's top
+        # coefficient, but a numeric failure, or D = x^2 - (s+1) x + s
+        path = tmp_path / "big.json"
+        spec = {"M": [[s, 0.0], [0.0, 1.0]], "f1": [1.0, 0.0], "g1": [0.0, 1.0]}
+        path.write_text(json.dumps({**spec, "f2": [0.0, 1.0], "g2": [1.0, 0.0]}))
+        code, out, err = run(["decompose", "--input", str(path)], capsys)
+        if code == 3:
+            assert out == "" and "n = 2" in err
+            return
+        assert (code, err) == (0, "")
+        D = np.array(json.loads(out)["D"]) * s ** (np.arange(3) - 2.0)
+        assert D.size == 3 and np.allclose(D, [1 / s, -(s + 1) / s, 1.0], rtol=0, atol=1e-12)
 
     def test_hyper_branch_beyond_sinh_overflow(self, capsys):
         # from omega ~ 712 sinh overflows and N1 ^ N2 is inf - inf

@@ -12,10 +12,15 @@ from spectral_atlas.kernel import (
     elliptic_K_E,
     horner,
     jacobi_sn_cn_dn,
-    poly_roots,
 )
 
-from kernel_oracle import poly_roots_of_poly, poly_wronskian, resultant
+from kernel_oracle import (
+    clipped_sn_cn_dn,
+    poly_roots,
+    poly_roots_of_poly,
+    poly_wronskian,
+    resultant,
+)
 
 
 class TestPoly:
@@ -262,3 +267,15 @@ class TestElliptic:
     def test_scalar_returns_floats(self):
         out = jacobi_sn_cn_dn(0.5, 0.5)
         assert all(isinstance(v, float) for v in out)
+
+    @pytest.mark.parametrize("k", [1e-8, 1e-3, 0.2, 0.45, 0.65, 0.9, 0.999999])
+    def test_jacobi_same_bits_as_clipped_route(self, k):
+        # no clip can bind, and a stage whose arcsin term is below a quarter
+        # ulp of phi only halves it: the clipped route's bits, array and scalar
+        K, _ = elliptic_K_E(k)
+        xs = np.linspace(-K, K, 20001)
+        for got, ref in zip(jacobi_sn_cn_dn(xs, k), clipped_sn_cn_dn(xs, k)):
+            assert got.tobytes() == ref.tobytes()
+        for x in (-K, -0.3 * K, -0.0, 0.0, 1e-300, 0.7 * K, K, *xs[::997].tolist()):
+            got, ref = jacobi_sn_cn_dn(x, k), clipped_sn_cn_dn(x, k)
+            assert [v.hex() for v in got] == [v.hex() for v in ref]

@@ -141,7 +141,7 @@ class TestDecomposeRandom:
         dec = decompose_cofactor(p)
         r1, r2 = 1.4, -0.8
         ev = np.sort_complex(np.linalg.eigvals(perturbed_matrix(p, r1, r2)))
-        from spectral_atlas.kernel import poly_roots
+        from kernel_oracle import poly_roots
 
         roots = np.sort_complex(poly_roots(dec.charpoly(r1, r2).coef))
         assert np.allclose(ev, roots, atol=1e-7)
@@ -346,6 +346,36 @@ class TestOverflow:
         # scale**n = 1e308 is finite, det at the nodes is not
         with pytest.raises(FloatingPointError, match=r"n = 2 at scale 1e\+154"):
             decompose_cofactor(self.big(1e154))
+
+    @pytest.mark.parametrize("s", [1e76, 1e77, 1e150])
+    def test_rank_deficient_fit_raises_or_is_exact(self, s):
+        # from s = 1e77 chebfit's top Vandermonde column norm overflows, and
+        # the fit used to drop D's top coefficient: D came out of degree 1
+        try:
+            dec = decompose_cofactor(self.big(s))
+        except FloatingPointError as e:
+            assert "n = 2" in str(e)
+            return
+        # D = x^2 - (s+1) x + s, coefficient k scaled by s^(k-2)
+        assert dec.D.coef.size == 3
+        scaled = dec.D.coef * s ** (np.arange(3) - 2.0)
+        assert np.allclose(scaled, [1.0 / s, -(s + 1.0) / s, 1.0], rtol=0.0, atol=1e-12)
+
+    def test_large_scale_n8_raises_or_is_exact(self, capfd):
+        # no LAPACK message on stderr and no truncated D
+        rng = np.random.default_rng(0)
+        n = 8
+        p = LowRankProblem(1e37 * rng.standard_normal((n, n)), *rng.standard_normal((4, n)))
+        try:
+            dec = decompose_cofactor(p)
+        except FloatingPointError:
+            dec = None
+        assert capfd.readouterr().err == ""
+        if dec is not None:
+            scale = p.scale ** (np.arange(n + 1) - float(n))
+            ref = np.poly(p.M)[::-1]
+            assert dec.D.coef.size == n + 1
+            assert np.allclose(dec.D.coef * scale, ref * scale, rtol=0.0, atol=1e-10)
 
     def test_non_finite_sample_gives_nan_coefficients(self):
         A = np.array([[[1e154, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
