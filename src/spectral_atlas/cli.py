@@ -2,9 +2,11 @@
 
 Subcommands run the library's analyses on built-in presets or on problem
 specs read from JSON, and write CSV, JSON, or minimal SVG artifacts.  Each
-subcommand only parses its arguments, makes one array call into the library
-and writes the result; the numerics, tolerances and file formats live in the
-library.
+command, and each mode of integrator, continuum and rs, takes only the options
+it reads: exactly one problem source, and --format only where it has a choice.
+Each subcommand only parses its arguments, makes one array call into the
+library and writes the result; the numerics, tolerances and file formats live
+in the library.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numeric failures.
 BLAS worker threads follow OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, which
@@ -155,32 +157,25 @@ def read_text(path: str) -> str:
 
 def load_problem(args) -> lowrank.LowRankProblem:
     """Problem from --input JSON or a named --preset."""
-    path = getattr(args, "input", None)
-    if path:
-        text = read_text(path)
+    if args.input:
+        text = read_text(args.input)
         try:
             return lowrank.LowRankProblem.from_json(text)
         except (ValueError, TypeError) as e:
-            raise ConfigError(f"{path}: {e}") from None
-    name = getattr(args, "preset", None)
-    if name is None:
-        raise ConfigError("need --preset or --input")
-    if name == "example1":
+            raise ConfigError(f"{args.input}: {e}") from None
+    if args.preset == "example1":
         return presets.example1()
-    if name in ("ag_normal", "ag_in"):
-        return integrator.build_network(preset=name)
-    raise ConfigError(f"unknown preset {name!r}")
+    return integrator.build_network(preset=args.preset)
 
 
 def load_decomposition(args) -> lowrank.AKDecomposition:
     """Decomposition from a previously written JSON report, or recomputed."""
-    path = getattr(args, "decomposition", None)
-    if path:
-        text = read_text(path)
+    if args.decomposition:
+        text = read_text(args.decomposition)
         try:
             return lowrank.AKDecomposition.from_json(text)
         except ValueError as e:
-            raise ConfigError(f"{path}: bad decomposition file: {e}") from None
+            raise ConfigError(f"{args.decomposition}: bad decomposition file: {e}") from None
     return lowrank.decompose_cofactor(load_problem(args))
 
 
@@ -189,12 +184,14 @@ def load_decomposition(args) -> lowrank.AKDecomposition:
 
 
 def emit(text: str, args) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {args.output}: {e}") from None
 
 
 def emit_json(obj, args) -> None:
@@ -257,10 +254,9 @@ def branches_svg(branches, width: int = 640, height: int = 480) -> str:
 
 
 def emit_branches(branches, parameter: str, args) -> None:
-    fmt = getattr(args, "format", "csv")
-    if fmt == "csv":
+    if args.format == "csv":
         emit(branches_csv(branches, parameter), args)
-    elif fmt == "json":
+    elif args.format == "json":
         emit_json(
             {
                 "parameter": parameter,
@@ -276,10 +272,8 @@ def emit_branches(branches, parameter: str, args) -> None:
             },
             args,
         )
-    elif fmt == "svg":
-        emit(branches_svg(branches), args)
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
+        emit(branches_svg(branches), args)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +328,11 @@ def cmd_triples(args) -> int:
 def cmd_phase(args) -> int:
     prob = load_problem(args)
     (r1lo, r1hi), (r2lo, r2hi) = parse_window(args.window)
+    in_domain(phase.grid_cells, args.grid, args.grid)  # before the axes are allocated
     r1 = np.linspace(r1lo, r1hi, args.grid)
     r2 = np.linspace(r2lo, r2hi, args.grid)
     g = in_domain(phase.phase_grid, prob, r1, r2)
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         census = g.census_counts()
         counts = {f"{nr}:{nh}": c for (nr, nh), c in census.items()}
         named = {
@@ -463,14 +458,36 @@ def cmd_rs(args) -> int:
 # parser
 
 
+def command(parent, name: str, help: str, formats=(), source=None) -> argparse.ArgumentParser:
+    """Subparser name of parent with -o; with --format (the first of formats
+    by default) when it writes more than one format; with exactly one of
+    --preset or --input for source "problem", or of --preset, --input or
+    --decomposition for source "decomposition"."""
+    p = parent.add_parser(name, help=help)
+    p.add_argument("-o", "--output", help="output file (default: stdout)")
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    if source:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", choices=("example1", "ag_normal", "ag_in"))
+        group.add_argument("--input", help="problem spec JSON (M, f1, g1, optional f2, g2)")
+        if source == "decomposition":
+            group.add_argument(
+                "--decomposition", help="reuse a decomposition JSON written by 'decompose'"
+            )
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process.
 
-    parse_args returns a fresh Namespace on every call and leaves the parser
-    as it was, so every main() call can share it.  The parser holds no
-    command functions: main() looks up cmd_<command> at each call, so a
-    replaced cmd_* function takes effect as it did with a parser per call.
+    Modes are nested subparsers (dest "mode"), and each command or mode
+    declares only the options its cmd_* function reads.  parse_args returns
+    a fresh Namespace on every call and leaves the parser as it was, so every
+    main() call can share it.  The parser holds no command functions: main()
+    looks up cmd_<command> at each call, so a replaced cmd_* function takes
+    effect as it did with a parser per call.
     """
     ap = argparse.ArgumentParser(
         prog="spectral-atlas",
@@ -478,80 +495,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="csv"):
-        p.add_argument("-o", "--output", help="output file (default: stdout)")
-        p.add_argument(
-            "--format", choices=("csv", "json", "svg"), default=fmt_default
-        )
+    def modes(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="mode", required=True)
 
-    def problem_opts(p):
-        p.add_argument("--preset", choices=("example1", "ag_normal", "ag_in"))
-        p.add_argument("--input", help="problem spec JSON (M, f1, g1, optional f2, g2)")
-
-    def dec_opts(p):
-        problem_opts(p)
-        p.add_argument(
-            "--decomposition", help="reuse a decomposition JSON written by 'decompose'"
-        )
-
-    p = sub.add_parser("decompose", help="four-polynomial determinant decomposition")
-    problem_opts(p)
-    common(p, "json")
-
-    p = sub.add_parser("curve", help="constant-eigenvalue curve in the rho plane")
-    dec_opts(p)
+    curve = ("csv", "json", "svg")  # the formats of every curve command
+    command(sub, "decompose", "four-polynomial determinant decomposition", source="problem")
+    p = command(sub, "curve", "constant-eigenvalue curve in the rho plane", curve, "decomposition")
     p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--rho2-range", default=" -12:2:400")
-    common(p)
-
-    p = sub.add_parser("envelope", help="double-eigenvalue (bifurcation) curve")
-    dec_opts(p)
+    p = command(sub, "envelope", "double-eigenvalue (bifurcation) curve", curve, "decomposition")
     p.add_argument("--lambda-range", default=" -4:0:400")
-    common(p)
-
-    p = sub.add_parser("hopf", help="imaginary-pair curve")
-    dec_opts(p)
+    p = command(sub, "hopf", "imaginary-pair curve", curve, "decomposition")
     p.add_argument("--omega-range", default=" 0.01:10:400")
-    common(p)
-
-    p = sub.add_parser("triples", help="triple-eigenvalue points")
-    dec_opts(p)
+    p = command(sub, "triples", "triple-eigenvalue points", (), "decomposition")
     p.add_argument("--lambda-window", default=" -6:0")
-    common(p, "json")
-
-    p = sub.add_parser("phase", help="region census over a rho-plane window")
-    problem_opts(p)
+    p = command(sub, "phase", "region census over a rho-plane window", ("csv", "json"), "problem")
     p.add_argument("--window", default=" -12:2:-12:2", help="rho1lo:rho1hi:rho2lo:rho2hi")
     p.add_argument("--grid", type=positive_int, default=100)
-    common(p)
 
-    p = sub.add_parser("integrator", help="line-attractor network analyses")
-    p.add_argument("mode", choices=("gain", "impulse", "curve"))
-    p.add_argument("--preset", choices=("ag_normal", "ag_in"), default="ag_normal")
-    p.add_argument("--lambda", dest="lam", type=finite_float, default=-0.05)
-    p.add_argument("--rho2-range", default=" 0:1.2:60")
+    integrator_modes = modes("integrator", "line-attractor network analyses")
+    network = {"choices": ("ag_normal", "ag_in"), "default": "ag_normal"}
+    for mode, help in (("gain", "gain along the --lambda curve"), ("curve", "the --lambda curve")):
+        p = command(integrator_modes, mode, help)
+        p.add_argument("--preset", **network)
+        p.add_argument("--lambda", dest="lam", type=finite_float, default=-0.05)
+        p.add_argument("--rho2-range", default=" 0:1.2:60")
+    p = command(integrator_modes, "impulse", "impulse response at one (rho1, rho2)")
+    p.add_argument("--preset", **network)
     p.add_argument("--rho1", type=finite_float, default=0.0)
     p.add_argument("--rho2", type=finite_float, default=0.0)
     p.add_argument("--t-end", type=nonnegative_float, default=5.0)
-    common(p)
 
-    p = sub.add_parser("continuum", help="integral-coupled diffusion eigenbranches")
-    p.add_argument("mode", choices=("envelope", "lemma-check"))
-    p.add_argument("--cells", type=positive_int, default=12, help="number of coupling cells N")
+    continuum_modes = modes("continuum", "integral-coupled diffusion eigenbranches")
+    cells = {"type": positive_int, "default": 12, "help": "number of coupling cells N"}
+    p = command(continuum_modes, "envelope", "envelope over omega on one branch", curve)
+    p.add_argument("--cells", **cells)
     p.add_argument("--branch", choices=("trig", "hyper"), default="trig")
     p.add_argument("--omega-range", default=" 0.05:40:2000")
-    p.add_argument("--grid", type=positive_int, default=20, help="x-grid side for lemma-check")
+    p = command(continuum_modes, "lemma-check", "quadrant lemma over an (omega, x1 < x2) grid")
+    p.add_argument("--cells", **cells)
+    p.add_argument("--grid", type=positive_int, default=20, help="x-grid side")
     p.add_argument("--omega-samples", type=positive_int, default=5)
-    common(p)
 
-    p = sub.add_parser("rs", help="nonlocal reaction-diffusion front stability")
-    p.add_argument("mode", choices=("lambda1", "index", "family"))
-    p.add_argument("--k", type=finite_float, default=0.5, help="elliptic modulus")
+    rs_modes = modes("rs", "nonlocal reaction-diffusion front stability")
+    modulus = {"type": finite_float, "default": 0.5, "help": "elliptic modulus"}
+    p = command(rs_modes, "lambda1", "closed-form front eigenvalue")
+    p.add_argument("--k", **modulus)
+    p = command(rs_modes, "index", "stability index of the discretized front")
+    p.add_argument("--k", **modulus)
     p.add_argument("--n", type=positive_int, default=4000, help="discretization size")
     p.add_argument("--rho", type=finite_float, default=1.0, help="index coupling in (0, 1]")
+    p = command(rs_modes, "family", "arclength trace of the stationary family")
+    p.add_argument("--k", **modulus)
     p.add_argument("--steps", type=positive_int, default=40)
     p.add_argument("--ds", type=nonzero_float, default=0.01)
-    common(p, "json")
 
     return ap
 

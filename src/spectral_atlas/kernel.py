@@ -109,18 +109,30 @@ def _coef(p):
 _AGM_TOL = 1e-15
 
 
+def _agm(k: float) -> tuple[list[float], list[float]]:
+    """The arithmetic-geometric mean of 1 and sqrt(1 - k^2): the lists of
+    its a_i and of c_i = (a_{i-1} - b_{i-1})/2, from c_0 = k to the first
+    |c_i| <= _AGM_TOL."""
+    a, b, c = 1.0, math.sqrt(1.0 - k * k), float(k)
+    aa, cc = [a], [c]
+    while abs(c) > _AGM_TOL:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        aa.append(a)
+        cc.append(c)
+    return aa, cc
+
+
 def elliptic_K_E(k: float) -> tuple[float, float]:
     """Complete elliptic integrals K(k), E(k) by the arithmetic-geometric mean."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_K_E: modulus k={k} outside [0,1)")
-    a, b, c = 1.0, math.sqrt(1.0 - k * k), float(k)
-    csum = 0.5 * c * c  # 2^{n-1} c_n^2 accumulator, n = 0 term
+    aa, cc = _agm(k)
+    csum = 0.5 * cc[0] * cc[0]  # the sum of 2^{i-1} c_i^2, in order of i
     pow2 = 0.5
-    while abs(c) > _AGM_TOL:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+    for c in cc[1:]:
         pow2 *= 2.0
         csum += pow2 * c * c
-    K = np.pi / (2.0 * a)
+    K = np.pi / (2.0 * aa[-1])
     E = K * (1.0 - csum)
     return float(K), float(E)
 
@@ -139,12 +151,7 @@ def jacobi_sn_cn_dn(x, k: float):
     if k == 0.0:
         sn, cn, dn = np.sin(x), np.cos(x), np.ones_like(x)
     else:
-        a, b, c = 1.0, math.sqrt(1.0 - k * k), float(k)
-        aa, cc = [a], [c]
-        while abs(c) > _AGM_TOL:
-            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-            aa.append(a)
-            cc.append(c)
+        aa, cc = _agm(k)
         n = len(aa) - 1
         phi = (2.0**n) * aa[n] * x
         for i in range(n, 0, -1):

@@ -137,6 +137,15 @@ class PhaseGrid:
         )
 
 
+def grid_cells(n1: int, n2: int) -> int:
+    """The cell count n1 * n2 of a grid; a plain ValueError when it is over
+    MAX_CELLS."""
+    cells = n1 * n2
+    if cells > MAX_CELLS:
+        raise ValueError(f"{n1} x {n2} = {cells} grid cells is over MAX_CELLS = {MAX_CELLS}")
+    return cells
+
+
 def phase_grid(problem: LowRankProblem, rho1_values, rho2_values) -> PhaseGrid:
     """Classify every point of a rectangular parameter grid.
 
@@ -149,11 +158,7 @@ def phase_grid(problem: LowRankProblem, rho1_values, rho2_values) -> PhaseGrid:
     p = problem
     r1s = np.asarray(rho1_values, float)
     r2s = np.asarray(rho2_values, float)
-    cells = r1s.size * r2s.size
-    if cells > MAX_CELLS:
-        raise ValueError(
-            f"{r1s.size} x {r2s.size} = {cells} grid cells is over MAX_CELLS = {MAX_CELLS}"
-        )
+    cells = grid_cells(r1s.size, r2s.size)
     n_real = np.empty(cells, dtype=int)
     n_rhp = np.empty(cells, dtype=int)
     dominant = np.empty(cells, dtype=np.int8)

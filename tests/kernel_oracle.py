@@ -9,8 +9,11 @@ poly_roots_of_poly is the same route as it was when it took a Poly, whose
 bits the coefficient-list route keeps.  clipped_sn_cn_dn is
 kernel.jacobi_sn_cn_dn as it was with clipped arcsin and square-root
 arguments and an arcsin at every Landen stage, whose bits the direct route
-keeps.
+keeps.  loop_K_E is kernel.elliptic_K_E as it was with its own AGM loop,
+whose bits the shared AGM keeps.
 """
+
+import math
 
 import numpy as np
 
@@ -106,3 +109,20 @@ def clipped_sn_cn_dn(x, k: float):
     if sn.ndim == 0:
         return float(sn), float(cn), float(dn)
     return sn, cn, dn
+
+
+def loop_K_E(k: float) -> tuple[float, float]:
+    """Complete elliptic integrals K(k), E(k), summing 2^(n-1) c_n^2 inside
+    the arithmetic-geometric mean loop."""
+    if not 0.0 <= k < 1.0:
+        raise ValueError(f"elliptic_K_E: modulus k={k} outside [0,1)")
+    a, b, c = 1.0, math.sqrt(1.0 - k * k), float(k)
+    csum = 0.5 * c * c  # 2^{n-1} c_n^2 accumulator, n = 0 term
+    pow2 = 0.5
+    while abs(c) > _AGM_TOL:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        pow2 *= 2.0
+        csum += pow2 * c * c
+    K = np.pi / (2.0 * a)
+    E = K * (1.0 - csum)
+    return float(K), float(E)

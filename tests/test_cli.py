@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectral_atlas import allencahn, cli, curves
+from spectral_atlas import allencahn, cli, curves, phase
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.phase import phase_grid
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
@@ -26,6 +26,22 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def leaf_parsers():
+    """(command, mode, parser) of every command (mode None) and of every mode
+    of a command that has modes."""
+
+    def subparsers(p):
+        return [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+
+    (sub,) = subparsers(cli.build_parser())
+    for name, p in sub.choices.items():
+        modes = subparsers(p)
+        if modes:
+            yield from ((name, mode, q) for mode, q in modes[0].choices.items())
+        else:
+            yield name, None, p
 
 
 class TestParsing:
@@ -62,30 +78,26 @@ class TestParsing:
 
     def test_every_float_option_is_finite(self):
         # a new float option has to go through the finite-float types too
-        ap = cli.build_parser()
-        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
-        seen = 0
-        for name, p in sub.choices.items():
+        seen = set()
+        for name, mode, p in leaf_parsers():
             for action in p._actions:
-                opt = f"{name} {'/'.join(action.option_strings) or action.dest}"
+                opt = f"{name} {mode or ''} {'/'.join(action.option_strings) or action.dest}"
                 assert action.type is not float, f"{opt} bypasses cli.finite_float"
                 finite_types = (cli.finite_float, cli.nonnegative_float, cli.nonzero_float)
                 if isinstance(action.default, float) or action.type in finite_types:
                     assert action.type in finite_types, opt
-                    seen += 1
-        assert seen >= 8  # --lambda (curve, integrator), --rho1, --rho2, --t-end, --k, --rho, --ds
+                    seen.add((name, action.dest))
+        assert len(seen) >= 8  # --lambda (curve, integrator), --rho1, --rho2, --t-end, --k, --rho, --ds
 
     def test_every_count_option_is_positive(self):
-        ap = cli.build_parser()
-        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
-        seen = 0
-        for name, p in sub.choices.items():
+        seen = set()
+        for name, mode, p in leaf_parsers():
             for action in p._actions:
                 if isinstance(action.default, int) or action.type in (int, cli.positive_int):
-                    opt = f"{name} {'/'.join(action.option_strings)}"
+                    opt = f"{name} {mode or ''} {'/'.join(action.option_strings)}"
                     assert action.type is cli.positive_int, opt
-                    seen += 1
-        assert seen == 6  # --grid (phase, continuum), --cells, --omega-samples, --n, --steps
+                    seen.add((name, action.dest))
+        assert len(seen) == 6  # --grid (phase, continuum), --cells, --omega-samples, --n, --steps
 
     @pytest.mark.parametrize("text", ["0", " -1", "1.5", "x"])
     def test_positive_int_rejects(self, text):
@@ -140,7 +152,7 @@ class TestTableCsv:
             ["integrator", "gain", "--rho2-range", " 0:0.9:7"],
             ["integrator", "curve", "--preset", "ag_in", "--rho2-range", " 0:0.5:9"],
             ["integrator", "impulse", "--rho2", "0.4", "--t-end", "0.05"],
-            ["rs", "family", "--k", "0.5", "--steps", "3", "--format", "csv"],
+            ["rs", "family", "--k", "0.5", "--steps", "3"],
         ],
         ids=shlex.join,
     )
@@ -176,16 +188,16 @@ class TestParserReuse:
 
     def test_format_does_not_carry_over(self, capsys):
         ap = cli.build_parser()
-        assert ap.parse_args(["rs", "index", "--format", "csv"]).format == "csv"
-        assert ap.parse_args(["rs", "index"]).format == "json"
-        argv = ["curve", "--preset", "example1", "--lambda", "-1", "--rho2-range", " -3:0:5"]
+        argv = ["phase", "--preset", "example1", "--window", " -2:0:-2:0", "--grid", "4"]
+        assert ap.parse_args(argv + ["--format", "json"]).format == "json"
+        assert ap.parse_args(argv).format == "csv"
         code, as_json, _ = run(argv + ["--format", "json"], capsys)
-        assert code == 0 and json.loads(as_json)["parameter"] == "lambda"
+        assert code == 0 and sum(json.loads(as_json)["counts"].values()) == 16
         code, out, _ = run(argv, capsys)
-        assert code == 0 and out.splitlines()[1] == "kind,branch,parameter,rho1,rho2"
+        assert code == 0 and out.splitlines()[1] == "rho1,rho2,n_real,n_rhp,dominant"
+        # rs index writes JSON only, so it has no --format to carry over
         code, out, _ = run(["rs", "index", "--k", "0.5", "--n", "200", "--format", "csv"], capsys)
-        code2, out2, _ = run(["rs", "index", "--k", "0.5", "--n", "200"], capsys)
-        assert code == code2 == 0 and json.loads(out2) == json.loads(out)
+        assert (code, out) == (2, "")
 
     def test_failed_call_leaves_no_state(self, capsys):
         valid = ["integrator", "curve", "--rho2-range", " 0:0.3:4"]
@@ -198,6 +210,111 @@ class TestParserReuse:
         ):
             assert run(bad, capsys)[0] == 2
             assert run(valid, capsys) == first
+
+
+# one quick line per command and mode
+EVERY_MODE = [
+    ["decompose", "--preset", "example1"],
+    ["curve", "--preset", "example1", "--lambda", "-1", "--rho2-range", " -3:0:5"],
+    ["envelope", "--preset", "example1", "--lambda-range", " -4:0:20"],
+    ["hopf", "--preset", "example1", "--omega-range", " 0.1:3:20"],
+    ["triples", "--preset", "example1"],
+    ["phase", "--preset", "example1", "--window", " -2:0:-2:0", "--grid", "4"],
+    ["integrator", "gain", "--preset", "ag_normal", "--rho2-range", " 0:0.9:5"],
+    ["integrator", "curve", "--preset", "ag_in", "--rho2-range", " 0:0.5:5"],
+    ["integrator", "impulse", "--preset", "ag_normal", "--rho2", "0.4", "--t-end", "0.05"],
+    ["continuum", "envelope", "--omega-range", " 1:14:50"],
+    ["continuum", "lemma-check", "--grid", "4", "--omega-samples", "2"],
+    ["rs", "lambda1", "--k", "0.3"],
+    ["rs", "index", "--k", "0.5", "--n", "200"],
+    ["rs", "family", "--k", "0.5", "--steps", "2"],
+]
+
+# every (command, mode, option) that the parser once accepted and no code read
+UNREAD = [
+    ["decompose", "--preset", "example1", "--format", "json"],
+    ["triples", "--preset", "example1", "--format", "json"],
+    *(
+        ["integrator", mode, *opt]
+        for mode in ("gain", "curve")
+        for opt in (["--rho1", "0"], ["--rho2", "0"], ["--t-end", "1"], ["--format", "csv"])
+    ),
+    ["integrator", "impulse", "--lambda", "-0.05"],
+    ["integrator", "impulse", "--rho2-range", " 0:1:5"],
+    ["integrator", "impulse", "--format", "csv"],
+    ["continuum", "envelope", "--grid", "20"],
+    ["continuum", "envelope", "--omega-samples", "5"],
+    ["continuum", "lemma-check", "--branch", "trig"],
+    ["continuum", "lemma-check", "--omega-range", " 0.05:40:20"],
+    ["continuum", "lemma-check", "--format", "json"],
+    *(["rs", "lambda1", *opt] for opt in (["--n", "200"], ["--rho", "1"], ["--steps", "2"])),
+    ["rs", "lambda1", "--ds", "0.01"],
+    ["rs", "lambda1", "--format", "json"],
+    ["rs", "index", "--steps", "2"],
+    ["rs", "index", "--ds", "0.01"],
+    ["rs", "index", "--format", "json"],
+    ["rs", "family", "--n", "200"],
+    ["rs", "family", "--rho", "1"],
+    ["rs", "family", "--format", "csv"],
+]
+
+
+class TestDeclaredOptions:
+    def test_every_declared_option_is_read(self, capsys):
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        leaves = {(name, mode): p for name, mode, p in leaf_parsers()}
+        assert {(a[0], a[1] if (a[0], a[1]) in leaves else None) for a in EVERY_MODE} == set(leaves)
+        unread = []
+        for argv in EVERY_MODE:
+            mode = argv[1] if (argv[0], argv[1]) in leaves else None
+            args = cli.build_parser().parse_args(argv, namespace=Recorder())
+            reads.clear()  # argparse reads the namespace while it fills it
+            assert getattr(cli, f"cmd_{argv[0]}")(args) == 0
+            declared = {
+                a.dest for a in leaves[argv[0], mode]._actions if not isinstance(a, argparse._HelpAction)
+            }
+            unread += [f"{argv[0]} {mode or ''} {dest}" for dest in sorted(declared - reads)]
+        capsys.readouterr()
+        assert unread == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *UNREAD,
+            ["phase", "--preset", "example1", "--grid", "3", "--format", "svg"],
+            ["envelope", "--preset", "example1", "--decomposition", "dec.json"],
+            ["curve", "--lambda", "-1", "--decomposition", "dec.json", "--preset", "example1"],
+            ["decompose", "--preset", "example1", "--input", "problem.json"],
+            ["phase", "--input", "problem.json", "--preset", "example1"],
+            # options before the mode word
+            ["integrator", "--preset", "ag_in", "gain"],
+            ["rs", "--k", "0.3", "lambda1"],
+            ["continuum", "-o", "out.csv", "envelope"],
+        ],
+        ids=shlex.join,
+    )
+    def test_rejected_settings_are_2(self, argv, tmp_path, monkeypatch, capsys):
+        # the files exist, so only the parser can refuse the line
+        monkeypatch.chdir(tmp_path)
+        Path("problem.json").write_text(example1().to_json())
+        Path("dec.json").write_text(decompose_cofactor(example1()).to_json())
+        assert len(UNREAD) == 29
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (2, "")
+
+    def test_option_order_within_a_mode(self):
+        ap = cli.build_parser()
+        opts = [["--preset", "ag_in"], ["--rho1", "0.3"], ["--rho2", "0.2"], ["-o", "x.csv"]]
+        for order in (opts, opts[::-1], opts[1:] + opts[:1]):
+            args = ap.parse_args(["integrator", "impulse", *sum(order, [])])
+            assert vars(args) == vars(ap.parse_args(["integrator", "impulse", *sum(opts, [])]))
+            assert (args.preset, args.rho1, args.rho2, args.output) == ("ag_in", 0.3, 0.2, "x.csv")
 
 
 class TestDecompose:
@@ -830,6 +947,35 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith(("spectral-atlas: ", "usage: "))
+
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [(["rs", "lambda1"], "missing/k.json"), (["phase", "--preset", "example1", "--grid", "3"], ".")],
+        ids=["missing-directory", "a-directory"],
+    )
+    def test_unwritable_output_is_2(self, argv, target, tmp_path, capsys):
+        path = tmp_path / target
+        code, out, err = run(argv + ["-o", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"spectral-atlas: cannot write {path}: ")
+
+    def test_phase_grid_refused_before_its_axes(self, capsys, monkeypatch):
+        # a side of 1e9 would ask for two 8 GB axes: no axis longer than
+        # MAX_CELLS samples may be built
+        real = np.linspace
+
+        def bounded(start, stop, num=50, **kwargs):
+            assert num <= phase.MAX_CELLS, f"np.linspace asked for {num} samples"
+            return real(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", bounded)
+        code, out, err = run(["phase", "--preset", "example1", "--grid", "1000000000"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "spectral-atlas: 1000000000 x 1000000000 = 1000000000000000000 grid cells"
+            " is over MAX_CELLS = 1000000\n"
+        )
 
 
 def test_in_domain_keeps_numeric_errors():

@@ -16,6 +16,7 @@ from spectral_atlas.kernel import (
 
 from kernel_oracle import (
     clipped_sn_cn_dn,
+    loop_K_E,
     poly_roots,
     poly_roots_of_poly,
     poly_wronskian,
@@ -234,6 +235,15 @@ class TestElliptic:
         K, E = elliptic_K_E(k)
         assert np.isclose(K, scipy.special.ellipk(k * k), rtol=1e-13)
         assert np.isclose(E, scipy.special.ellipe(k * k), rtol=1e-13)
+
+    def test_K_E_same_bits_as_loop_route(self):
+        # the shared AGM keeps the bits of the loop that summed as it went:
+        # k = 0, k whose square underflows (1e-300, 5e-324), up to 1 - 1e-16
+        ks = np.linspace(0.0, 1.0, 20001, endpoint=False).tolist()
+        ks += [1e-300, 1e-8, 5e-324, *(1.0 - 10.0**-j for j in range(1, 17))]
+        ks += np.random.default_rng(0).uniform(0.0, 1.0, 180).tolist()
+        for k in ks:
+            assert [v.hex() for v in elliptic_K_E(k)] == [v.hex() for v in loop_K_E(k)], k
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
