@@ -152,7 +152,7 @@ class TestTableCsv:
             ["integrator", "gain", "--rho2-range", " 0:0.9:7"],
             ["integrator", "curve", "--preset", "ag_in", "--rho2-range", " 0:0.5:9"],
             ["integrator", "impulse", "--rho2", "0.4", "--t-end", "0.05"],
-            ["rs", "family", "--k", "0.5", "--steps", "3"],
+            ["rs", "family", "--k", "0.5", "--steps", "3", "--ds", "0.01"],
         ],
         ids=shlex.join,
     )
