@@ -79,11 +79,6 @@ class CubicFront:
         k2 = self.k**2
         return Poly([0.0, 0.0, 0.5 * (1.0 + k2), 0.0, -0.5 * k2])
 
-    @functools.cached_property
-    def f(self) -> Poly:
-        """(1+k^2) u - 2k^2 u^3 = F'(u)."""
-        return self.F.deriv()
-
     def f_prime(self, u):
         u = np.asarray(u, float)
         return (1.0 + self.k**2) - 6.0 * self.k**2 * u**2

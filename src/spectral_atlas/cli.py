@@ -8,7 +8,10 @@ Each subcommand only parses its arguments, makes one array call into the
 library and writes the result; the numerics, tolerances and file formats live
 in the library.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numeric failures.
+Exit codes, by one rule in main(): 0 on success; 2 on a ConfigError or a
+plain ValueError (the library's input checks); 3 on any other ValueError or
+ArithmeticError, which every numeric error class of the library derives
+from.  No range or grid may ask for more than MAX_SAMPLES samples.
 BLAS worker threads follow OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, which
 must be set before Python starts.
 """
@@ -29,24 +32,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# the most samples a range or the lemma check may ask for, as many as the
+# cells of the largest phase grid
+MAX_SAMPLES = phase.MAX_CELLS
+
 
 class ConfigError(Exception):
     """Bad command line arguments or malformed input files."""
-
-
-class NumericFailure(Exception):
-    """A numeric failure of the rs commands, whose module is imported lazily."""
-
-
-NUMERIC_ERRORS = (
-    NumericFailure,
-    curves.DegenerateCurveError,
-    curves.SymmetricDegeneracyError,
-    integrator.DivergentGainError,
-    np.linalg.LinAlgError,
-    ZeroDivisionError,
-    FloatingPointError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +83,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def in_domain(call, *args, **kwargs):
-    """call(*args, **kwargs); its plain ValueError, an input check, is a
-    ConfigError.
-
-    The numeric failures that derive from ValueError (LinAlgError,
-    allencahn.TurningPointError) are subclasses of it and pass through.
-    """
-    try:
-        return call(*args, **kwargs)
-    except ValueError as e:
-        if type(e) is not ValueError:
-            raise
-        raise ConfigError(str(e)) from None
-
-
 def _finite_floats(parts, name: str, text: str) -> list[float]:
     try:
         values = [float(p) for p in parts]
@@ -131,6 +108,8 @@ def parse_range(text: str, name: str = "range"):
         raise ConfigError(f"bad {name} {text!r}: {e}") from None
     if n <= 0:
         raise ConfigError(f"{name} needs a positive sample count, got {n}")
+    if n > MAX_SAMPLES:
+        raise ConfigError(f"{name} asks for {n} samples, over MAX_SAMPLES = {MAX_SAMPLES}")
     if b < a:
         raise ConfigError(f"{name} endpoints out of order: {a} > {b}")
     return np.linspace(a, b, n)
@@ -151,7 +130,7 @@ def read_text(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
 
 
@@ -328,10 +307,10 @@ def cmd_triples(args) -> int:
 def cmd_phase(args) -> int:
     prob = load_problem(args)
     (r1lo, r1hi), (r2lo, r2hi) = parse_window(args.window)
-    in_domain(phase.grid_cells, args.grid, args.grid)  # before the axes are allocated
+    phase.grid_cells(args.grid, args.grid)  # before the axes are allocated
     r1 = np.linspace(r1lo, r1hi, args.grid)
     r2 = np.linspace(r2lo, r2hi, args.grid)
-    g = in_domain(phase.phase_grid, prob, r1, r2)
+    g = phase.phase_grid(prob, r1, r2)
     if args.format == "json":
         census = g.census_counts()
         counts = {f"{nr}:{nh}": c for (nr, nh), c in census.items()}
@@ -352,9 +331,7 @@ def _network(args):
 def cmd_integrator(args) -> int:
     spec, prob = _network(args)
     if args.mode == "impulse":
-        t, series = in_domain(
-            integrator.impulse_response, prob, args.rho1, args.rho2, spec.b, args.t_end
-        )
+        t, series = integrator.impulse_response(prob, args.rho1, args.rho2, spec.b, args.t_end)
         mg = integrator.measured_gain(series, spec.b)
         emit(
             table_csv(
@@ -383,12 +360,15 @@ def cmd_continuum(args) -> int:
     spec = continuum.ContinuumSpec(N=args.cells)
     if args.mode == "envelope":
         grid = parse_range(args.omega_range, "--omega-range")
-        br = in_domain(continuum.continuum_envelope, spec, grid, args.branch)
+        br = continuum.continuum_envelope(spec, grid, args.branch)
         emit_branches([br], "omega", args)
         return EXIT_OK
     # lemma-check: sign of the tangency-point ratio over the (omega, x1 < x2) grid
     if args.grid < 2:
         raise ConfigError(f"lemma-check needs --grid >= 2, two x points for a pair x1 < x2; got {args.grid}")
+    points = args.omega_samples * (args.grid * (args.grid - 1) // 2)
+    if points > MAX_SAMPLES:
+        raise ConfigError(f"lemma-check asks for {points} points, over MAX_SAMPLES = {MAX_SAMPLES}")
     xs = np.linspace(0.05, 0.95, args.grid)
     oms = np.linspace(0.5, 20.0, args.omega_samples)
     i, j = np.triu_indices(xs.size, 1)
@@ -412,46 +392,38 @@ def cmd_rs(args) -> int:
     # the rs commands import it
     from . import allencahn
 
-    try:
-        if args.mode == "lambda1":
-            emit_json({"k": args.k, "lambda1": in_domain(allencahn.lambda1, args.k)}, args)
-            return EXIT_OK
-        if args.mode == "index":
-            # CubicFront.from_k and build_H_discrete check k and n,
-            # stability_index checks rho
-            op = in_domain(allencahn.cubic_operator, args.k, n=args.n)
-            rep = in_domain(allencahn.stability_index, op, rho=args.rho)
-            emit_json(
-                {
-                    "k": args.k,
-                    "lambda1": allencahn.lambda1(args.k),
-                    "n_plus_H": int(rep["n_plus_H"]),
-                    "inner": float(rep["inner"]),
-                    "n_plus_perturbed": int(rep["n_plus_perturbed"]),
-                    "has_kernel": bool(rep["has_kernel"]),
-                },
-                args,
-            )
-            return EXIT_OK
-        # family: arclength trace of the stationary-solution family
-        front = in_domain(allencahn.CubicFront.from_k, args.k)
-        rows = allencahn.family_table(front, args.steps, args.ds)
-        emit(
-            table_csv(
-                "s,E,kappa,mu_minus,mu_plus,P,M,R,tau",
-                "stationary-family trace parametrized by arclength s (dimensionless)",
-                rows.T,
-            ),
+    if args.mode == "lambda1":
+        emit_json({"k": args.k, "lambda1": allencahn.lambda1(args.k)}, args)
+        return EXIT_OK
+    if args.mode == "index":
+        # CubicFront.from_k and build_H_discrete check k and n,
+        # stability_index checks rho
+        op = allencahn.cubic_operator(args.k, n=args.n)
+        rep = allencahn.stability_index(op, rho=args.rho)
+        emit_json(
+            {
+                "k": args.k,
+                "lambda1": allencahn.lambda1(args.k),
+                "n_plus_H": int(rep["n_plus_H"]),
+                "inner": float(rep["inner"]),
+                "n_plus_perturbed": int(rep["n_plus_perturbed"]),
+                "has_kernel": bool(rep["has_kernel"]),
+            },
             args,
         )
         return EXIT_OK
-    except (
-        allencahn.IndeterminateIndexError,
-        allencahn.PoleProximityError,
-        allencahn.TurningPointError,
-        allencahn.FamilyCorrectorError,
-    ) as e:
-        raise NumericFailure(e) from e
+    # family: arclength trace of the stationary-solution family
+    front = allencahn.CubicFront.from_k(args.k)
+    rows = allencahn.family_table(front, args.steps, args.ds)
+    emit(
+        table_csv(
+            "s,E,kappa,mu_minus,mu_plus,P,M,R,tau",
+            "stationary-family trace parametrized by arclength s (dimensionless)",
+            rows.T,
+        ),
+        args,
+    )
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +534,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ConfigError as e:
-        print(f"spectral-atlas: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERIC_ERRORS as e:
+    except (ConfigError, ValueError, ArithmeticError) as e:
+        if isinstance(e, ConfigError) or type(e) is ValueError:
+            print(f"spectral-atlas: {e}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"spectral-atlas: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -3,9 +3,11 @@
 Polynomials are stored as dense ascending coefficient vectors; degrees stay
 small (bounded by matrix dimension) so no sparse representation is needed.
 `horner` and `derivative` are the package's one evaluator and derivative rule;
-they take ascending coefficient lists or arrays.  The one polynomial root
-finder in the package, the front's turning points, calls LAPACK's geev on a
-companion matrix itself (allencahn.turning_points).
+they take ascending coefficient lists or arrays.  `Poly` is only the value in
+which the split's polynomials are stored and serialised: the library forms no
+sums or products of polynomials, so it has no algebra.  The one polynomial
+root finder in the package, the front's turning points, calls LAPACK's geev on
+a companion matrix itself (allencahn.turning_points).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def derivative(c):
 
 @dataclass(frozen=True)
 class Poly:
-    """Real polynomial, ascending coefficients.  Zero polynomial <-> coef=[0]."""
+    """One polynomial of the split, trimmed ascending coefficients.  Zero <-> coef=[0]."""
 
     coef: np.ndarray
 
@@ -49,7 +51,6 @@ class Poly:
         c = npp.polytrim(c)
         object.__setattr__(self, "coef", c)
 
-    # -- queries ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
         return self.coef.size == 1 and self.coef[0] == 0.0
@@ -58,49 +59,8 @@ class Poly:
     def degree(self) -> int:
         return -1 if self.is_zero else self.coef.size - 1
 
-    @property
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coef)))
-
     def __call__(self, x):
         return horner(self.coef, np.asarray(x) if isinstance(x, (list, tuple)) else x)
-
-    # -- algebra ---------------------------------------------------------
-    def deriv(self, m: int = 1) -> "Poly":
-        return Poly(derivative(self.coef)).deriv(m - 1) if m else self
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(npp.polyadd(self.coef, _coef(other)))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(npp.polysub(self.coef, _coef(other)))
-
-    def __mul__(self, other) -> "Poly":
-        if np.isscalar(other):
-            return Poly(self.coef * other)
-        return Poly(npp.polymul(self.coef, _coef(other)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Poly":
-        return Poly(-self.coef)
-
-    def chop(self, tol: float) -> "Poly":
-        """Zero out coefficients below an absolute threshold."""
-        c = np.where(np.abs(self.coef) <= tol, 0.0, self.coef)
-        return Poly(c)
-
-    @staticmethod
-    def from_roots(roots) -> "Poly":
-        return Poly(npp.polyfromroots(roots).real)
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly([0.0])
-
-
-def _coef(p):
-    return p.coef if isinstance(p, Poly) else np.atleast_1d(np.asarray(p, float))
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,6 @@ class AKDecomposition:
     P2: Poly
     Q: Poly
 
-    def charpoly(self, rho1: float, rho2: float) -> Poly:
-        return self.D + rho1 * self.P1 + rho2 * self.P2 + (rho1 * rho2) * self.Q
-
     def evaluate(self, lam, rho1, rho2):
         return (
             self.D(lam)
@@ -281,14 +278,14 @@ def decompose_cofactor(p: LowRankProblem) -> AKDecomposition:
     if not np.all(np.isfinite(d)):
         raise overflow
 
-    d00, d10 = d[0], d[1]
-    D = Poly(d00)
-    P1 = Poly(d10 - d00)
-    if p.rank == 1:
-        return AKDecomposition(D, P1.chop(chop), Poly.zero(), Poly.zero())
-    d01, d11 = d[2], d[3]
-    P2 = Poly(d01 - d00)
-    Q = Poly(d11 - d10 - d01 + d00)
-    if vectors_parallel(p.g1, p.g2) or vectors_parallel(p.f1, p.f2):
-        Q = Poly.zero()
-    return AKDecomposition(D, P1.chop(chop), P2.chop(chop), Q.chop(chop))
+    # P1, P2 and Q as differences of the interpolants; a rank-one problem
+    # has no P2 or Q, and parallel f's or g's no Q
+    d00 = d[0]
+    diffs = np.zeros((3, n + 1))
+    diffs[0] = d[1] - d00
+    if p.rank == 2:
+        diffs[1] = d[2] - d00
+        if not (vectors_parallel(p.g1, p.g2) or vectors_parallel(p.f1, p.f2)):
+            diffs[2] = d[3] - d[1] - d[2] + d00
+    P1, P2, Q = (Poly(c) for c in np.where(np.abs(diffs) <= chop, 0.0, diffs))
+    return AKDecomposition(Poly(d00), P1, P2, Q)

@@ -77,7 +77,7 @@ def genericity_check(dec: AKDecomposition, lam: float, rank_tol: float = 1e-9) -
     """
     polys = (dec.D, dec.P1, dec.P2, dec.Q)
     a = np.array([p(lam) for p in polys])
-    b = np.array([p.deriv()(lam) for p in polys])
+    b = np.array([npp.polyval(lam, npp.polyder(p.coef)) for p in polys])
     M3 = np.vstack([a[1:], b[1:]])
     M4 = np.vstack([a, b])
 
@@ -92,7 +92,7 @@ def genericity_check(dec: AKDecomposition, lam: float, rank_tol: float = 1e-9) -
         return "inconsistent"
 
     w = lambda f, g: poly_wronskian(f, g)(lam)
-    scale = max(dec.D.norm, dec.P1.norm, dec.P2.norm, dec.Q.norm, 1.0) ** 2
+    scale = max(*(np.max(np.abs(p.coef)) for p in polys), 1.0) ** 2
     tol = rank_tol * scale
     if (
         abs(w(dec.P1, dec.Q)) > tol

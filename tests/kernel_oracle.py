@@ -2,7 +2,8 @@
 
 resultant decides whether two polynomials share a root by the determinant of
 their Sylvester matrix, without computing any root.  poly_wronskian is the
-derivative wedge that the curve oracles build their Cramer solutions from.
+derivative wedge that the curve oracles build their Cramer solutions from,
+formed with numpy.polynomial's algebra.
 poly_roots is the companion-matrix root finder that kernel held while the
 front's turning points took their roots from np.linalg.eigvals;
 poly_roots_of_poly is the same route as it was when it took a Poly, whose
@@ -16,6 +17,7 @@ whose bits the shared AGM keeps.
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from spectral_atlas.kernel import _AGM_TOL, Poly
 
@@ -43,7 +45,8 @@ def resultant(p: Poly, q: Poly) -> float:
 
 def poly_wronskian(f: Poly, g: Poly) -> Poly:
     """f ∧ g = f g' - f' g."""
-    return f * g.deriv() - f.deriv() * g
+    f, g = f.coef, g.coef
+    return Poly(npp.polysub(npp.polymul(f, npp.polyder(g)), npp.polymul(npp.polyder(f), g)))
 
 
 def poly_roots_of_poly(p: Poly) -> np.ndarray:

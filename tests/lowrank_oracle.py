@@ -3,7 +3,8 @@
 decompose_spectral builds the four polynomials from the eigenbasis of a
 symmetric base matrix, and ak_value evaluates the eigenvalue condition in
 resolvent form by an LU solve.  Neither goes through the determinant
-interpolation with which lowrank.decompose_cofactor builds them.
+interpolation with which lowrank.decompose_cofactor builds them.  charpoly
+sums the split at one (rho1, rho2) into a numpy Polynomial.
 
 decompose_per_basis is the reference for the bits of decompose_cofactor:
 the same interpolation, one determinant call, one chebfit and one numpy
@@ -12,6 +13,7 @@ cheb2poly per basis setting.
 
 import numpy as np
 import numpy.polynomial.chebyshev as npc
+import numpy.polynomial.polynomial as npp
 import scipy.linalg
 
 from spectral_atlas.kernel import Poly
@@ -43,33 +45,33 @@ def decompose_spectral(
     sign_full = (-1.0) ** n
 
     # prod_j (lambda_j - x) = (-1)^n prod_j (x - lambda_j)
-    D = sign_full * Poly.from_roots(lam)
+    D = Poly(sign_full * npp.polyfromroots(lam))
 
     def excl(idx):
         keep = [lam[j] for j in range(n) if j not in idx]
-        return Poly.from_roots(keep)
+        return npp.polyfromroots(keep)
 
     a1 = V.T @ p.f1
     b1 = V.T @ p.g1
-    P1 = Poly.zero()
+    P1 = [0.0]
     sign1 = (-1.0) ** (n - 1)
     for j in range(n):
         w = a1[j] * b1[j]
         if w != 0.0:
-            P1 = P1 + (sign1 * w) * excl({j})
+            P1 = npp.polyadd(P1, (sign1 * w) * excl({j}))
 
     if p.rank == 1:
-        return AKDecomposition(D, P1, Poly.zero(), Poly.zero())
+        return AKDecomposition(D, Poly(P1), Poly([0.0]), Poly([0.0]))
 
     a2 = V.T @ p.f2
     b2 = V.T @ p.g2
-    P2 = Poly.zero()
+    P2 = [0.0]
     for j in range(n):
         w = a2[j] * b2[j]
         if w != 0.0:
-            P2 = P2 + (sign1 * w) * excl({j})
+            P2 = npp.polyadd(P2, (sign1 * w) * excl({j}))
 
-    Q = Poly.zero()
+    Q = [0.0]
     if not (
         vectors_parallel(p.g1, p.g2, parallel_tol)
         or vectors_parallel(p.f1, p.f2, parallel_tol)
@@ -81,8 +83,14 @@ def decompose_spectral(
                     continue
                 w = a1[i] * b1[i] * a2[j] * b2[j] - a1[i] * b2[i] * a2[j] * b1[j]
                 if w != 0.0:
-                    Q = Q + (sign2 * w) * excl({i, j})
-    return AKDecomposition(D, P1, P2, Q)
+                    Q = npp.polyadd(Q, (sign2 * w) * excl({i, j}))
+    return AKDecomposition(D, Poly(P1), Poly(P2), Poly(Q))
+
+
+def charpoly(dec: AKDecomposition, rho1: float, rho2: float) -> np.polynomial.Polynomial:
+    """F = D + rho1 P1 + rho2 P2 + rho1 rho2 Q at one (rho1, rho2)."""
+    D, P1, P2, Q = (np.polynomial.Polynomial(p.coef) for p in (dec.D, dec.P1, dec.P2, dec.Q))
+    return D + rho1 * P1 + rho2 * P2 + (rho1 * rho2) * Q
 
 
 def ak_value(
@@ -124,21 +132,25 @@ def _det_charpoly_one(A: np.ndarray, radius: float) -> np.ndarray:
 
 
 def decompose_per_basis(p: LowRankProblem) -> AKDecomposition:
-    """decompose_cofactor's interpolation with one call chain per basis setting."""
+    """decompose_cofactor's interpolation with one call chain per basis
+    setting; each difference has its coefficients at most the chop zeroed."""
     n = p.n
     radius = 2.0 * p.scale + 1.0
     chop = 1e-13 * max(1.0, p.scale) ** n * (n + 1)
 
+    def chopped(c):
+        return Poly(np.where(np.abs(c) <= chop, 0.0, c))
+
     d00 = _det_charpoly_one(perturbed_matrix(p, 0.0, 0.0), radius)
     d10 = _det_charpoly_one(perturbed_matrix(p, 1.0, 0.0), radius)
     D = Poly(d00)
-    P1 = Poly(d10 - d00)
+    P1 = chopped(d10 - d00)
     if p.rank == 1:
-        return AKDecomposition(D, P1.chop(chop), Poly.zero(), Poly.zero())
+        return AKDecomposition(D, P1, Poly([0.0]), Poly([0.0]))
     d01 = _det_charpoly_one(perturbed_matrix(p, 0.0, 1.0), radius)
     d11 = _det_charpoly_one(perturbed_matrix(p, 1.0, 1.0), radius)
-    P2 = Poly(d01 - d00)
-    Q = Poly(d11 - d10 - d01 + d00)
+    P2 = chopped(d01 - d00)
+    Q = chopped(d11 - d10 - d01 + d00)
     if vectors_parallel(p.g1, p.g2) or vectors_parallel(p.f1, p.f2):
-        Q = Poly.zero()
-    return AKDecomposition(D, P1.chop(chop), P2.chop(chop), Q.chop(chop))
+        Q = Poly([0.0])
+    return AKDecomposition(D, P1, P2, Q)

@@ -9,6 +9,8 @@ import numpy as np
 
 from spectral_atlas.lowrank import AKDecomposition
 
+from lowrank_oracle import charpoly
+
 
 def local_splitting(
     dec: AKDecomposition,
@@ -27,8 +29,8 @@ def local_splitting(
     probed and the splitting is declared 'real_pair' or 'complex_pair' only
     if all probes agree.
     """
-    F = dec.charpoly(rho1, rho2)
-    scale = max(F.norm, 1.0)
+    F = charpoly(dec, rho1, rho2)
+    scale = max(np.max(np.abs(F.coef)), 1.0)
     c0, c1, c2 = F(lam0), F.deriv()(lam0), 0.5 * F.deriv(2)(lam0)
     if abs(c2) <= 1e-12 * scale:
         raise ValueError("no quadratic term: lambda0 is not a double-root candidate")
@@ -49,7 +51,7 @@ def local_splitting(
     for th in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
         r1 = rho1 + probe_radius * np.cos(th)
         r2 = rho2 + probe_radius * np.sin(th)
-        Fp = dec.charpoly(r1, r2)
+        Fp = charpoly(dec, r1, r2)
         d0, d1, d2 = Fp(lam0), Fp.deriv()(lam0), 0.5 * Fp.deriv(2)(lam0)
         signs.append(np.sign(d1 * d1 - 4.0 * d2 * d0))
     if all(s > 0 for s in signs):

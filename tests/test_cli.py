@@ -1,9 +1,11 @@
 """Command line interface: parsing, artifacts, exit codes, reproducibility."""
 
 import argparse
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spectral_atlas
 from spectral_atlas import allencahn, cli, curves, phase
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.phase import phase_grid
@@ -782,6 +785,15 @@ class TestExitCodes:
         assert out == ""
         assert "'M'" in err
 
+    @pytest.mark.parametrize("source", ["--input", "--decomposition"])
+    def test_undecodable_file_is_2(self, source, tmp_path, capsys):
+        # UnicodeDecodeError subclasses ValueError, yet the file is at fault
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(["envelope", source, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"spectral-atlas: cannot read {path}: ")
+
     @pytest.mark.parametrize("command", ["envelope", "hopf", "triples"])
     def test_rank_one_curves_are_3(self, tmp_path, capsys, command):
         # P2 = Q = 0: every row of the sweep is a singular linear system
@@ -977,14 +989,96 @@ class TestExitCodes:
             " is over MAX_CELLS = 1000000\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            pytest.param(argv, what, id=shlex.join(argv))
+            for argv, what in [
+                (["curve", "--preset", "example1", "--lambda", "0", "--rho2-range", " 0:1:1000001"],
+                 "--rho2-range asks for 1000001 samples"),
+                (["integrator", "gain", "--rho2-range", " 0:1:1000000000"],
+                 "--rho2-range asks for 1000000000 samples"),
+                (["envelope", "--preset", "example1", "--lambda-range", " -4:0:1000000000"],
+                 "--lambda-range asks for 1000000000 samples"),
+                (["hopf", "--preset", "example1", "--omega-range", " 0:1:1000000000"],
+                 "--omega-range asks for 1000000000 samples"),
+                (["continuum", "envelope", "--omega-range", " 0.05:40:1000000000"],
+                 "--omega-range asks for 1000000000 samples"),
+                # each count alone, and their product: 1415 x's give 1000405 pairs,
+                # 1000 omegas times 1225 pairs are 1225000 points
+                (["continuum", "lemma-check", "--grid", "1000000000"],
+                 "lemma-check asks for 2499999997500000000 points"),
+                (["continuum", "lemma-check", "--omega-samples", "1000000000"],
+                 "lemma-check asks for 190000000000 points"),
+                (["continuum", "lemma-check", "--grid", "1415", "--omega-samples", "1"],
+                 "lemma-check asks for 1000405 points"),
+                (["continuum", "lemma-check", "--grid", "50", "--omega-samples", "1000"],
+                 "lemma-check asks for 1225000 points"),
+            ]
+        ],
+    )
+    def test_sample_counts_refused_before_allocation(self, argv, what, capsys, monkeypatch):
+        # no sample axis, pair index or (omega, x1 < x2) point set over
+        # MAX_SAMPLES may be built
+        real_linspace, real_triu, real_ratio = np.linspace, np.triu_indices, cli.continuum.quadrant_ratio
 
-def test_in_domain_keeps_numeric_errors():
-    # LinAlgError derives from ValueError but is a numeric failure (exit 3)
-    def singular():
-        raise np.linalg.LinAlgError("singular matrix")
+        def linspace(start, stop, num=50, **kwargs):
+            assert num <= cli.MAX_SAMPLES, f"np.linspace asked for {num} samples"
+            return real_linspace(start, stop, num, **kwargs)
 
-    with pytest.raises(np.linalg.LinAlgError):
-        cli.in_domain(singular)
+        def triu_indices(n, k=0, m=None):
+            assert n * (n - 1) // 2 <= cli.MAX_SAMPLES, f"np.triu_indices asked for {n} x {n}"
+            return real_triu(n, k, m)
+
+        def quadrant_ratio(spec, oms, x1, x2):
+            assert oms.size * x1.size <= cli.MAX_SAMPLES, "quadrant_ratio over MAX_SAMPLES points"
+            return real_ratio(spec, oms, x1, x2)
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        monkeypatch.setattr(np, "triu_indices", triu_indices)
+        monkeypatch.setattr(cli.continuum, "quadrant_ratio", quadrant_ratio)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"spectral-atlas: {what}, over MAX_SAMPLES = 1000000\n"
+
+    def test_sample_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", lambda a, b, n: n)
+        assert cli.MAX_SAMPLES == phase.MAX_CELLS == 10**6
+        assert cli.parse_range(" 0:1:1000000") == 1000000
+        with pytest.raises(cli.ConfigError, match="over MAX_SAMPLES"):
+            cli.parse_range(" 0:1:1000001")
+
+
+def library_exceptions():
+    """Every exception class defined in a spectral_atlas module but ConfigError."""
+    found = []
+    for info in pkgutil.iter_modules(spectral_atlas.__path__):
+        mod = importlib.import_module(f"spectral_atlas.{info.name}")
+        found += [
+            obj for obj in vars(mod).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == mod.__name__ and obj is not cli.ConfigError
+        ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(e, 3) for e in library_exceptions()]
+    + [(ValueError, 2), (cli.ConfigError, 2), (np.linalg.LinAlgError, 3), (OverflowError, 3)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_exit_code_rule(error, code, capsys, monkeypatch):
+    # a ConfigError or a plain ValueError is the input's fault; every other
+    # ValueError or ArithmeticError, and so every numeric error class of the
+    # library, is a numeric failure
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_decompose", fail)
+    got = run(["decompose", "--preset", "example1"], capsys)
+    message = "boom" if code == 2 else "numeric failure: boom"
+    assert got == (code, "", f"spectral-atlas: {message}\n")
 
 
 def test_import_leaves_scipy_optimize_unloaded():

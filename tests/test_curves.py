@@ -209,7 +209,7 @@ class TestGapRule:
         # Q = 0, P1 = 1, P2 = lambda^2: the linear envelope system is
         # singular at lambda = 0 and has the single solution
         # rho1 = 1 + lambda^3 / 2, rho2 = -3 lambda / 2 elsewhere
-        d = AKDecomposition(Poly([-1.0, 0.0, 0.0, 1.0]), Poly([1.0]), Poly([0.0, 0.0, 1.0]), Poly.zero())
+        d = AKDecomposition(Poly([-1.0, 0.0, 0.0, 1.0]), Poly([1.0]), Poly([0.0, 0.0, 1.0]), Poly([0.0]))
         grid = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(DegenerateCurveError):
             envelope_point(d, 0.0)
@@ -250,7 +250,7 @@ class TestConstantCurve:
 
     def test_pole_on_grid(self):
         # P1 + rho2 Q = rho2 - 1/2 vanishes at the grid value rho2 = 1/2
-        d = AKDecomposition(Poly([1.0]), Poly([-0.5]), Poly.zero(), Poly([1.0]))
+        d = AKDecomposition(Poly([1.0]), Poly([-0.5]), Poly([0.0]), Poly([1.0]))
         br = constant_eigenvalue_curve(d, 0.0, np.linspace(-1.0, 2.0, 7))
         assert br.gaps == [(0.0, 0.5)]
         assert [p.parameter for p in br.points] == [-1.0, -0.5, 0.0, 1.0, 1.5, 2.0]
@@ -444,7 +444,7 @@ class TestTriplePoints:
 
     def test_symmetric_degeneracy_raised(self):
         # P1 = P2 = Q = 0: identically satisfied condition
-        zero = Poly.zero()
+        zero = Poly([0.0])
         d = AKDecomposition(Poly([1.0, 2.0, 1.0]), zero, zero, zero)
         with pytest.raises(SymmetricDegeneracyError):
             triple_points(d, (-2.0, 0.0))
