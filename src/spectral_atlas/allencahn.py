@@ -457,7 +457,7 @@ def _turning(F: Poly, E_const: float, kappa: float):
     dq = derivative(q)
     slopes = [horner(dq, r) for r in mu]
     if min(map(abs, slopes)) < 1e-6 * max(1.0, abs(E_const), abs(kappa)):
-        raise TurningPointError("turning point is not simple (separatrix)")
+        raise _turning_error("turning point is not simple (separatrix)", E_const, kappa)
     return q, mu, slopes
 
 

@@ -323,16 +323,11 @@ def cmd_phase(args) -> int:
     return EXIT_OK
 
 
-def _network(args):
-    spec = integrator.preset_spec(args.preset)
-    return spec, integrator.build_network(spec)
-
-
 def cmd_integrator(args) -> int:
-    spec, prob = _network(args)
+    prob, b = integrator.build_network(args.preset), integrator.INPUT_PATTERN
     if args.mode == "impulse":
-        t, series = integrator.impulse_response(prob, args.rho1, args.rho2, spec.b, args.t_end)
-        mg = integrator.measured_gain(series, spec.b)
+        t, series = integrator.impulse_response(prob, args.rho1, args.rho2, b, args.t_end)
+        mg = integrator.measured_gain(series, b)
         emit(
             table_csv(
                 "t,response",
@@ -351,7 +346,7 @@ def cmd_integrator(args) -> int:
     if args.mode == "gain":
         header += ",gain"
         comment = f"dimensionless gain along the lambda={args.lam} curve, parametrized by rho2"
-        cols.append(integrator.gain(prob, r1, grid, spec.b))
+        cols.append(integrator.gain(prob, r1, grid, b))
     emit(table_csv(header, comment, cols), args)
     return EXIT_OK
 

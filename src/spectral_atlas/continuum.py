@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveBranch, grid_branch
+from .curves import CurveBranch, _refine, _sign_changes, grid_branch
 from .integrator import beta_for
 
 
@@ -144,9 +144,7 @@ def envelope_rho(spec: ContinuumSpec, bp: BranchParam):
 
 
 # envelope_asymptotes brackets sign changes of N1 ^ N2 on this many samples
-# and bisects each to this relative width
 ASYMPTOTE_SAMPLES = 4000
-ASYMPTOTE_TOL = 1e-12
 
 
 def envelope_asymptotes(
@@ -154,27 +152,24 @@ def envelope_asymptotes(
 ) -> list[float]:
     """omegas where the envelope diverges: bracketed zeros of N1 N2' - N1' N2.
 
-    A simple zero is bisected to ASYMPTOTE_TOL.  Where N1 and N2 both vanish
-    to second order (at 12 pi for the default coupling points) N1 ^ N2 has a
-    zero of order five, whose sign rounding decides within about 1e-4 of it;
-    the bisection ends somewhere in that band.
+    curves._refine, the triple points' engine, narrows the brackets with its
+    size test off, since rho diverges at each zero.  Where N1 and N2 both
+    vanish to second order (at 12 pi for the default coupling points)
+    N1 ^ N2 has a zero of order five, whose sign rounding decides within
+    about 1e-4 of it; the result lies in that band.  ValueError unless lo < hi.
     """
     lo, hi = omega_window
+    if not lo < hi:
+        raise ValueError(f"omega window {omega_window!r} needs lo < hi")
     oms = np.linspace(lo, hi, ASYMPTOTE_SAMPLES)
     vals = _envelope(spec, branch, oms)[2]
-    out = []
-    for i in np.flatnonzero((np.sign(vals[:-1]) != np.sign(vals[1:])) & (vals[:-1] != 0.0)):
-        a, b = oms[i], oms[i + 1]
-        fa = vals[i]
-        while b - a > ASYMPTOTE_TOL * max(1.0, abs(a)):
-            m = 0.5 * (a + b)
-            fm = _envelope(spec, branch, m)[2]
-            if np.sign(fm) == np.sign(fa):
-                a, fa = m, fm
-            else:
-                b = m
-        out.append(0.5 * (a + b))
-    return out
+    i = np.flatnonzero(_sign_changes(vals[:-1], vals[1:]))
+    size = np.zeros(i.size)
+
+    def lamN(t, live):
+        return _envelope(spec, branch, t)[2], np.zeros(t.shape)
+
+    return _refine(lamN, oms[i], oms[i + 1], vals[i], vals[i + 1], size, size).tolist()
 
 
 def continuum_envelope(
@@ -246,20 +241,3 @@ def quadrant_ratio(spec: ContinuumSpec, omega, x1, x2):
     if np.any(d1 == 0.0):
         raise ZeroDivisionError("cell-response derivative vanishes at x1")
     return -lemma_f_domega(spec, omega, x2) / d1
-
-
-def quadrant_sign_check(
-    spec: ContinuumSpec, omega: float, x1: float | None = None, x2: float | None = None
-):
-    """Sign of rho1/rho2 on the hyperbolic envelope at coupling points x1, x2.
-
-    Returns (sign_ratio, F_values): quadrant_ratio at one point (negative
-    whenever the lemma holds) and samples of the comparison function at
-    (0, x1, x2, 1).
-    """
-    if x1 is None:
-        x1 = spec.x1
-    if x2 is None:
-        x2 = spec.x2
-    ratio = quadrant_ratio(spec, omega, x1, x2)
-    return float(ratio), bigF(spec, omega, np.array([0.0, x1, x2, 1.0]))

@@ -404,19 +404,29 @@ def _triple_screen(rows):
     return lane, rho[:, 0], rho[:, 1]
 
 
-def _refine(jet, branch, a, b, ha, hb, sa, sb):
-    """Narrow the brackets (a, b) of zeros of h on the branches `branch`, in place.
+def _sign_changes(h0, h1):
+    """Sign changes from h0 to h1: a zero counts as negative, nan brackets nothing."""
+    return ((h0 <= 0.0) != (h1 <= 0.0)) & ~np.isnan(h0 + h1)
 
-    ha, hb are h at the ends and sa, sb the sizes of rho there.  Each step
-    evaluates every live bracket in one call: at the points that cut it into
+
+def _refine(h, a, b, ha, hb, sa, sb):
+    """Narrow the brackets (a, b) of zeros of a scalar swept along a branch, in
+    place, and return the regula falsi points of the final brackets.
+
+    h(t, live) gives the scalar and the size of rho at the points t, one row
+    of t per live bracket, whose indices into a and b are live; ha, hb are
+    the scalar at the ends and sa, sb the sizes there.  Each step evaluates
+    every live bracket in one call: at the points that cut it into
     TRIPLE_SPLIT parts, and at its regula falsi point x and x +- d for d from
     a TRIPLE_SPLIT**2-th of the bracket down to tol/2, TRIPLE_SPLIT-fold
-    apart.  The first part on which h changes sign is kept.  Where h is
-    smooth it hugs the zero and x converges superlinearly; where only the
-    sign of h is reliable it is a cut wide.  A bracket is done when narrower
+    apart.  The first part on which the scalar changes sign is kept.  Where
+    it is smooth it hugs the zero and x converges superlinearly; where only
+    its sign is reliable it is a cut wide.  A bracket is done when narrower
     than tol = 1e-10 max(1, |x|), and dropped when no part changes sign or
     when rho at an end of the part kept is over twice its size at the
-    bracket's ends: rho runs off to a pole there, while at a cusp rho' = 0.
+    bracket's ends: on the envelope rho runs off to a pole there, while at a
+    cusp rho' = 0.  Sizes that are all zero turn that test off, as they must
+    where rho diverges at the zeros sought.
     """
     cuts = np.arange(1, TRIPLE_SPLIT) / TRIPLE_SPLIT
     rungs = float(TRIPLE_SPLIT) ** -np.arange(2, 11)
@@ -429,13 +439,11 @@ def _refine(jet, branch, a, b, ha, hb, sa, sb):
         t = al[:, None] + (bl - al)[:, None] * cuts
         t = np.column_stack([t, x[:, None] - d, x, x[:, None] + d])
         t = np.sort(np.clip(t, al[:, None], bl[:, None]), axis=1)
-        ht, st, _ = _cusp_function(jet, t.ravel())
-        pick = (np.arange(live.size)[:, None], np.arange(t.shape[1]), branch[live, None])
-        ht = np.column_stack([hal, ht.reshape(t.shape + (2,))[pick], hbl])
-        st = np.column_stack([sa[live], st.reshape(t.shape + (2,))[pick], sb[live]])
+        ht, st = h(t, live)
+        ht = np.column_stack([hal, ht, hbl])
+        st = np.column_stack([sa[live], st, sb[live]])
         t = np.column_stack([al, t, bl])
-        # a zero counts with the negative side; nan (no real point) brackets nothing
-        change = ((ht[:, :-1] <= 0.0) != (ht[:, 1:] <= 0.0)) & ~np.isnan(ht[:, :-1] + ht[:, 1:])
+        change = _sign_changes(ht[:, :-1], ht[:, 1:])
         r, k = np.arange(live.size), np.argmax(change, axis=1)
         kept = (t[r, k], t[r, k + 1], ht[r, k], ht[r, k + 1], st[r, k], st[r, k + 1])
         runs_off = np.maximum(kept[4], kept[5]) > 2.0 * np.maximum(sa[live], sb[live])
@@ -443,6 +451,7 @@ def _refine(jet, branch, a, b, ha, hb, sa, sb):
         live, open_ = live[ok], (kept[1] - kept[0] > tol)[ok]
         a[live], b[live], ha[live], hb[live], sa[live], sb[live] = (e[ok] for e in kept)
         live = live[open_]
+    return b - hb * (b - a) / (hb - ha)
 
 
 def triple_points(dec: AKDecomposition, lam_window: tuple[float, float]):
@@ -479,8 +488,14 @@ def triple_points(dec: AKDecomposition, lam_window: tuple[float, float]):
         flips = (np.sign(h[:-1]) * np.sign(h[1:]) < 0) & ~(crossed < 0.5 * straight)
     i, branch = np.nonzero(flips)
     a, b, ha, hb = lam[i], lam[i + 1], h[i, branch], h[i + 1, branch]
-    _refine(jet, branch, a, b, ha, hb, size[i, branch], size[i + 1, branch])
-    x = b - hb * (b - a) / (hb - ha)
+
+    def cusp(t, live):
+        # h and the size on each bracket's own branch
+        ht, st, _ = _cusp_function(jet, t.ravel())
+        pick = (np.arange(live.size)[:, None], np.arange(t.shape[1]), branch[live, None])
+        return ht.reshape(t.shape + (2,))[pick], st.reshape(t.shape + (2,))[pick]
+
+    x = _refine(cusp, a, b, ha, hb, size[i, branch], size[i + 1, branch])
 
     rows = _values(jet, x).reshape(3, 4, -1)
     lane, r1, r2 = _triple_screen(rows.transpose(2, 0, 1))

@@ -10,12 +10,15 @@ eigenvalue of alpha*T is a chosen slow rate, W the two vestibular->Purkinje
 readout rows, and the feedback entering as rho_i f_i g_i^T with
 f_i = -alpha [u_i; 0; 0] and g_i the Purkinje coordinate picks (so rho_i > 0
 is inhibitory feedback).
+
+The paper's two networks differ only in W, their entry of READOUTS; they
+share N, alpha and the slow rate (presets), FEEDBACK_UNITS and INPUT_PATTERN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,44 +31,6 @@ class DivergentGainError(ArithmeticError):
     """The gain is not defined at a point: its dominant eigenvalue is not
     simple, its left and right dominant eigenvectors are numerically
     orthogonal, or a complex pair leads."""
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    N: int
-    alpha: float  # 1/seconds
-    lambda1_target: float  # 1/seconds
-    u1: np.ndarray
-    u2: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    b: np.ndarray
-
-    def __init__(self, N, alpha, lambda1_target, u1, u2, w1, w2, b):
-        if N < 2:
-            raise ValueError("need at least two vestibular units")
-        if not 0.0 < lambda1_target < alpha:
-            raise ValueError("lambda1_target must lie in (0, alpha)")
-        arrs = {}
-        for name, v in [("u1", u1), ("u2", u2), ("w1", w1), ("w2", w2), ("b", b)]:
-            v = np.asarray(v, float)
-            want = N + 2 if name == "b" else N
-            if v.shape != (want,):
-                raise ValueError(f"{name} must have length {want}")
-            arrs[name] = v
-        for name in ("u1", "u2"):
-            v = arrs[name]
-            if not (np.sum(v == 1.0) == 1 and np.sum(v == 0.0) == N - 1):
-                raise ValueError(f"{name} must be a canonical basis vector")
-        object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "lambda1_target", float(lambda1_target))
-        for name, v in arrs.items():
-            object.__setattr__(self, name, v)
-
-    @property
-    def beta(self) -> float:
-        return beta_for(self.N, self.alpha, self.lambda1_target)
 
 
 def beta_for(N: int, alpha: float, lambda1_target: float) -> float:
@@ -89,53 +54,32 @@ def build_T(N: int, alpha: float, lambda1_target: float):
     return T, beta
 
 
-def _ag_spec(w1, w2) -> NetworkSpec:
-    N = _presets.AG_N
-    e = np.eye(N)
-    b = np.concatenate([np.ones(N), np.zeros(2)])
-    return NetworkSpec(
-        N, _presets.AG_ALPHA, _presets.AG_LAMBDA1, e[0], e[2], w1, w2, b
-    )
+# vestibular->Purkinje readout rows (w1, w2) of the two networks: 'ag_normal'
+# supports smooth gain adjustment; 'ag_in' models the miswired (congenital
+# nystagmus) readout that drives the circuit oscillatory
+READOUTS = MappingProxyType({
+    "ag_normal": ((-1, 1, -1, 0, -1, 0), (1, -1, 1, 1, 0, 0)),
+    "ag_in": ((-1, 1, 0, 0, -1, 0), (1, -1, 0, 0, 1, 0)),
+})
+# the vestibular units u_1, u_2 the feedback enters, and the input pattern b
+# (every vestibular unit, no Purkinje cell) shared by both networks
+FEEDBACK_UNITS = (0, 2)
+INPUT_PATTERN = np.r_[np.ones(_presets.AG_N), 0.0, 0.0]
+INPUT_PATTERN.flags.writeable = False
 
 
-def preset_spec(name: str) -> NetworkSpec:
-    """Built-in network parameter sets.
-
-    'ag_normal' supports smooth gain adjustment; 'ag_in' models the miswired
-    (congenital nystagmus) readout that drives the circuit oscillatory.
-    """
-    if name == "ag_normal":
-        return _ag_spec([-1, 1, -1, 0, -1, 0], [1, -1, 1, 1, 0, 0])
-    if name == "ag_in":
-        return _ag_spec([-1, 1, 0, 0, -1, 0], [1, -1, 0, 0, 1, 0])
-    raise ValueError(f"unknown network preset {name!r}")
-
-
-def build_network(spec: NetworkSpec | None = None, preset: str = "custom") -> LowRankProblem:
-    """Assemble the (N+2)-dimensional perturbation problem.
-
-    'ag_normal'/'ag_in' use their built-in specs; 'custom' requires an
-    explicit NetworkSpec.
-    """
-    if preset != "custom":
-        spec = preset_spec(preset)
-    if spec is None:
-        raise ValueError("custom network needs an explicit NetworkSpec")
-    N, alpha = spec.N, spec.alpha
-    T, _ = build_T(N, alpha, spec.lambda1_target)
+def build_network(preset: str) -> LowRankProblem:
+    """The (N+2)-dimensional problem of a READOUTS network; ValueError for another name."""
+    if preset not in READOUTS:
+        raise ValueError(f"unknown network preset {preset!r}")
+    N, alpha = _presets.AG_N, _presets.AG_ALPHA
     M = np.zeros((N + 2, N + 2))
-    M[:N, :N] = T
-    M[N, :N] = spec.w1
-    M[N + 1, :N] = spec.w2
-    M[N, N] = -1.0
-    M[N + 1, N + 1] = -1.0
+    M[:N, :N] = build_T(N, alpha, _presets.AG_LAMBDA1)[0]
+    M[N:, :N] = READOUTS[preset]
+    M[N, N] = M[N + 1, N + 1] = -1.0
     M *= alpha
-    f1 = -alpha * np.concatenate([spec.u1, [0.0, 0.0]])
-    f2 = -alpha * np.concatenate([spec.u2, [0.0, 0.0]])
-    g1 = np.zeros(N + 2)
-    g1[N] = 1.0
-    g2 = np.zeros(N + 2)
-    g2[N + 1] = 1.0
+    e = np.eye(N + 2)
+    (f1, f2), (g1, g2) = -alpha * e[list(FEEDBACK_UNITS)], e[N:]
     return LowRankProblem(M, f1, g1, f2, g2)
 
 

@@ -1,4 +1,4 @@
-"""Named built-in problems used across the library, tests, and CLI."""
+"""Built-in problems: example1 and the constants of integrator's two networks."""
 
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ EXAMPLE1_D = np.array([12.0, 28.0, 23.0, 8.0, 1.0])
 EXAMPLE1_P = np.array([4.0 - 2.0 * SQRT2, 4.0 - SQRT2, 1.0])
 EXAMPLE1_Q = np.array([-1.0])
 
-# parameters of the eight-dimensional line-attractor models; see integrator.py
+# parameters shared by the two eight-dimensional line-attractor networks,
+# whose readout rows are integrator.READOUTS
 AG_ALPHA = 200.0
 AG_LAMBDA1 = 5.0
 AG_N = 6

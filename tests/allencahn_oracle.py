@@ -268,7 +268,7 @@ def eigvals_turning_points(F, E_const: float, kappa: float):
     mu = (max(below), min(above))
     tol = 1e-6 * max(1.0, abs(E_const), abs(kappa))
     if min(abs(horner(derivative(q), r)) for r in mu) < tol:
-        raise TurningPointError("turning point is not simple (separatrix)")
+        raise TurningPointError("turning point is not simple (separatrix)" + where)
     return mu
 
 

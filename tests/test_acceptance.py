@@ -30,7 +30,7 @@ from spectral_atlas.continuum import (
     continuum_envelope,
     envelope_asymptotes,
     envelope_rho,
-    quadrant_sign_check,
+    quadrant_ratio,
 )
 from spectral_atlas.curves import (
     envelope,
@@ -295,11 +295,10 @@ def test_criterion_07_continuum_structure(criterion):
         assert abs(r1_lim - 0.09) < 0.03 and abs(r2_lim + 0.09) < 0.03
 
         xs = np.linspace(0.05, 0.95, 20)
-        for om in np.linspace(0.5, 20.0, 5):
-            for i, x1 in enumerate(xs):
-                for x2 in xs[i + 1 :]:
-                    ratio, _ = quadrant_sign_check(spec, om, x1, x2)
-                    assert ratio < 0.0
+        i, j = np.triu_indices(xs.size, 1)
+        ratio = quadrant_ratio(spec, np.linspace(0.5, 20.0, 5)[:, None], xs[i], xs[j])
+        assert ratio.shape == (5, 190)
+        assert np.all(ratio < 0.0)
 
 
 def test_criterion_08_front_eigenvalue(criterion):

@@ -959,6 +959,14 @@ class TestPeriodJet:
         with pytest.raises(allencahn.TurningPointError, match="E = 0.5, kappa = 0.0"):
             turning_points(Poly([0.0, 0.0, 0.5, 0.0, -1e-310]), 0.5, 0.0)
 
+    def test_turning_points_separatrix_names_the_point(self):
+        # E just below the separatrix level of F = u^2/2 - u^4/8: Q's roots
+        # at +-sqrt(2) are double to rounding, so Q' is no slope there
+        with pytest.raises(allencahn.TurningPointError, match="separatrix") as info:
+            turning_points(Poly([0.0, 0.0, 0.5, 0.0, -0.125]), 0.5 - 1e-14, 0.0)
+        assert "E = 0.49999999999999" in str(info.value)
+        assert "kappa = 0.0" in str(info.value)
+
     def test_tau_fold_rule(self):
         # a vanishing R row: dR/ds = 0 in every direction, a fold
         fr = CubicFront.from_k(0.5)

@@ -17,6 +17,7 @@ import pytest
 
 import spectral_atlas
 from spectral_atlas import allencahn, cli, curves, phase
+from spectral_atlas.integrator import build_network
 from spectral_atlas.lowrank import AKDecomposition, decompose_cofactor, perturbed_matrix
 from spectral_atlas.phase import phase_grid
 from spectral_atlas.presets import EXAMPLE1_D, EXAMPLE1_P, EXAMPLE1_Q, example1
@@ -1126,7 +1127,7 @@ class TestReadme:
         # eigenvalue in the left half plane
         [argv] = [a for a in readme_commands() if a[:2] == ["integrator", "impulse"]]
         args = cli.build_parser().parse_args(argv)
-        _, prob = cli._network(args)
+        prob = build_network(args.preset)
         ev = np.linalg.eigvals(perturbed_matrix(prob, args.rho1, args.rho2))
         assert ev.real.max() < 0.0
 

@@ -10,7 +10,6 @@ from spectral_atlas.continuum import (
     envelope_rho,
     lemma_f_domega,
     quadrant_ratio,
-    quadrant_sign_check,
 )
 from spectral_atlas.curves import branches_to_csv
 
@@ -233,6 +232,12 @@ class TestEnvelope:
         assert br.gaps == [(grid[i - 1], grid[i])]
         assert [p.parameter for p in br.points] == grid.tolist()
 
+    def test_reversed_window_raises(self, spec):
+        with pytest.raises(ValueError, match=r"\(14.0, 1.0\)"):
+            envelope_asymptotes(spec, (14.0, 1.0), "trig")
+        with pytest.raises(ValueError):
+            envelope_asymptotes(spec, (4.0, 4.0), "trig")
+
     def test_hyper_curve_second_quadrant(self, spec):
         br = continuum_envelope(spec, np.linspace(0.05, 20.0, 400), "hyper")
         r1 = np.array([p.rho1 for p in br.points])
@@ -300,7 +305,7 @@ class TestReducedForms:
         asy = envelope_asymptotes(spec, (0.5, 40.0), "trig")
         assert len(asy) == 4
         for got, mult in zip(asy[:3], (4, 6, 8)):
-            assert abs(got - mult * np.pi) < 1e-9
+            assert abs(got - mult * np.pi) <= 1e-14 * mult * np.pi
         # at 12 pi both N1 and N2 vanish to second order, so N1 ^ N2 has a
         # zero of order five whose sign double precision resolves only to
         # about 1e-4 (the direct forms, with order seven, to 5.2e-3)
@@ -310,11 +315,10 @@ class TestReducedForms:
 class TestQuadrantLemma:
     def test_sign_ratio_negative_grid(self, spec):
         xs = np.linspace(0.05, 0.95, 20)
-        for om in (0.5, 2.0, 5.0, 10.0, 20.0):
-            for i, a in enumerate(xs):
-                for b in xs[i + 1 :]:
-                    sr, _ = quadrant_sign_check(spec, om, a, b)
-                    assert sr < 0
+        i, j = np.triu_indices(xs.size, 1)
+        ratio = quadrant_ratio(spec, np.array([0.5, 2.0, 5.0, 10.0, 20.0])[:, None], xs[i], xs[j])
+        assert ratio.shape == (5, 190)
+        assert np.all(ratio < 0)
 
     def test_response_derivative_positive(self, spec):
         for om in np.linspace(0.3, 25.0, 25):
@@ -339,7 +343,7 @@ class TestQuadrantLemma:
 
     def test_sign_ratio_matches_envelope_ratio(self, spec):
         for om in (0.5, 2.0, 6.0):
-            sr, _ = quadrant_sign_check(spec, om)
+            sr = quadrant_ratio(spec, om, spec.x1, spec.x2)
             r1, r2 = envelope_rho(spec, BranchParam(om, "hyper"))
             assert np.isclose(sr, r1 / r2, rtol=1e-9)
 
@@ -351,9 +355,9 @@ class TestQuadrantLemma:
         i, j = np.triu_indices(xs.size, 1)
         ratio = quadrant_ratio(spec, oms[:, None], xs[i], xs[j])
         assert ratio.shape == (5, 190)
-        # the loop lemma-check ran before, one quadrant_sign_check per point
+        # the loop lemma-check ran before, one quadrant_ratio call per point
         ref = [
-            quadrant_sign_check(spec, om, x1, x2)[0]
+            float(quadrant_ratio(spec, om, x1, x2))
             for om in oms
             for k, x1 in enumerate(xs)
             for x2 in xs[k + 1 :]
@@ -370,8 +374,8 @@ class TestQuadrantLemma:
         with pytest.raises(ZeroDivisionError):
             quadrant_ratio(spec, np.array([1.0, 2.0]), np.array([0.2, 0.3]), 0.6)
         with pytest.raises(ZeroDivisionError):
-            quadrant_sign_check(spec, 2.0, 0.3, 0.6)
-        assert quadrant_sign_check(spec, 2.0, 0.2, 0.6)[0] < 0
+            quadrant_ratio(spec, 2.0, 0.3, 0.6)
+        assert quadrant_ratio(spec, 2.0, 0.2, 0.6) < 0
 
 
 class TestHyperOverflow:

@@ -6,8 +6,8 @@ import scipy.linalg
 
 from spectral_atlas.curves import constant_eigenvalue_curve, envelope_point
 from spectral_atlas.integrator import (
+    INPUT_PATTERN,
     DivergentGainError,
-    NetworkSpec,
     build_network,
     build_T,
     beta_for,
@@ -15,7 +15,6 @@ from spectral_atlas.integrator import (
     gain,
     impulse_response,
     measured_gain,
-    preset_spec,
 )
 from spectral_atlas.lowrank import decompose_cofactor, perturbed_matrix
 from spectral_atlas.presets import example1
@@ -71,23 +70,37 @@ class TestBuildNetwork:
         assert np.isclose(A[2, 7], -200.0 * 0.7)
 
     def test_presets_differ(self):
-        a = preset_spec("ag_normal")
-        b = preset_spec("ag_in")
-        assert not np.array_equal(a.w1, b.w1)
-        assert np.array_equal(a.u1, b.u1)
+        a = build_network(preset="ag_normal")
+        b = build_network(preset="ag_in")
+        assert not np.array_equal(a.M[6], b.M[6])
+        assert np.array_equal(a.f1, b.f1)
 
     def test_bad_preset(self):
         with pytest.raises(ValueError):
-            preset_spec("nope")
+            build_network(preset="nope")
         with pytest.raises(ValueError):
             build_network(preset="custom")
 
-    def test_spec_validation(self):
-        e = np.eye(6)
-        with pytest.raises(ValueError):
-            NetworkSpec(6, 200.0, 5.0, 2 * e[0], e[2], e[1], e[1], B6)
-        with pytest.raises(ValueError):
-            NetworkSpec(6, 200.0, 5.0, e[0], e[2], e[1][:5], e[1], B6)
+    @pytest.mark.parametrize(
+        "preset,w1,w2",
+        [
+            ("ag_normal", [-1, 1, -1, 0, -1, 0], [1, -1, 1, 1, 0, 0]),
+            ("ag_in", [-1, 1, 0, 0, -1, 0], [1, -1, 0, 0, 1, 0]),
+        ],
+    )
+    def test_preset_bits(self, preset, w1, w2):
+        # the paper's constants: alpha = 200, lambda1 = 5, N = 6, feedback
+        # into vestibular units 0 and 2, read out by the two Purkinje cells
+        alpha, e6, e8 = 200.0, np.eye(6), np.eye(8)
+        T, _ = build_T(6, alpha, 5.0)
+        M = alpha * np.block([[T, np.zeros((6, 2))], [np.array([w1, w2]), -np.eye(2)]])
+        p = build_network(preset=preset)
+        assert np.array_equal(p.M, M)
+        assert np.array_equal(p.f1, np.r_[-alpha * e6[0], 0.0, 0.0])
+        assert np.array_equal(p.f2, np.r_[-alpha * e6[2], 0.0, 0.0])
+        assert np.array_equal(p.g1, e8[6]) and np.array_equal(p.g2, e8[7])
+        assert np.array_equal(INPUT_PATTERN, np.r_[np.ones(6), 0, 0])
+        assert not INPUT_PATTERN.flags.writeable
 
 
 class TestConstantTau:
