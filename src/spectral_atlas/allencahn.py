@@ -49,25 +49,18 @@ class FamilyCorrectorError(ArithmeticError):
     back to its start value, or the period gradient vanished."""
 
 
-def a_of_k(k: float) -> float:
-    return float(np.sqrt(1.0 - k**2 + k**4))
-
-
 @dataclass(frozen=True)
 class CubicFront:
     """sn(x,k) front of the cubic nonlinearity on [-K(k), K(k)]."""
 
     k: float
     K: float
-    E: float
-    a: float
 
     @classmethod
     def from_k(cls, k: float) -> "CubicFront":
         if not 0.0 < k < 1.0:
             raise ValueError("elliptic modulus must lie in (0,1)")
-        K, E = elliptic_K_E(k)
-        return cls(k=float(k), K=K, E=E, a=a_of_k(k))
+        return cls(k=float(k), K=elliptic_K_E(k)[0])
 
     def profile(self, x):
         sn, _, _ = jacobi_sn_cn_dn(np.asarray(x, float), self.k)
@@ -121,7 +114,6 @@ class DiscretizedOperator:
     n: int
     h: float
     L: float
-    x: np.ndarray
     fp: np.ndarray  # f'(u) at the cell centers
     diag: np.ndarray
     off: np.ndarray
@@ -243,9 +235,9 @@ def build_H_discrete(f_prime, L: float, n: int = 4000) -> DiscretizedOperator:
     diag[0] += 1.0 / h**2  # ghost reflection at the ends
     diag[-1] += 1.0 / h**2
     off = np.full(n - 1, 1.0 / h**2)
-    for arr in (x, fp, diag, off):
+    for arr in (fp, diag, off):
         arr.flags.writeable = False
-    return DiscretizedOperator(n=n, h=h, L=L, x=x, fp=fp, diag=diag, off=off)
+    return DiscretizedOperator(n=n, h=h, L=L, fp=fp, diag=diag, off=off)
 
 
 def cubic_operator(k: float, n: int = 4000) -> DiscretizedOperator:
@@ -404,7 +396,8 @@ class FamilyPoint:
     def tau(self) -> float:
         """(M_E P_k - M_k P_E) / (R_E P_k - R_k P_E): dM/dR along the family.
 
-        ZeroDivisionError at a fold of the family, where dR/ds vanishes.
+        ZeroDivisionError at a fold of the family, where dR/ds vanishes.  Its
+        sign is that of <1, H^{-1} 1> (they differ by the positive factor 2L).
         """
         (P_E, P_k), (M_E, M_k), (R_E, R_k) = self.jac.tolist()
         den = R_E * P_k - R_k * P_E
@@ -551,27 +544,10 @@ def period_jet(F: Poly, E_const: float, kappa: float):
     return (mu_m, mu_p), (P, M, R), J
 
 
-def period_integrals(F: Poly, E_const: float, kappa: float):
-    """Period-type integrals (P, M, R) over one oscillation of the quadrature:
-    the values of period_jet, whose quadrature they share."""
-    return period_jet(F, E_const, kappa)[1]
-
-
 def family_point(F: Poly, E_const: float, kappa: float, s: float = 0.0) -> FamilyPoint:
     """The family point at (E_const, kappa): one period_jet."""
     (mu_m, mu_p), (P, M, R), J = period_jet(F, E_const, kappa)
     return FamilyPoint(E_const, kappa, mu_m, mu_p, P, M, R, J, s)
-
-
-def tau(F: Poly, E_const: float, kappa: float) -> float:
-    """(M_E P_k - M_k P_E) / (R_E P_k - R_k P_E): dM/dR along the family.
-
-    The partial derivatives are period_jet's exact Jacobian, one quadrature;
-    ZeroDivisionError at a fold, where dR/ds vanishes.  The sign of tau
-    reproduces the sign of <1, H^{-1} 1> (they differ by the positive
-    factor 2L).
-    """
-    return family_point(F, E_const, kappa).tau
 
 
 def trace_family(

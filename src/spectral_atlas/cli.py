@@ -188,8 +188,8 @@ def table_csv(header: str, comment: str, columns) -> str:
     return "\n".join([f"# {comment}", header, *map(",".join, zip(*cols))]) + "\n"
 
 
-def branches_svg(branches, width: int = 640, height: int = 480) -> str:
-    """Minimal inspection plot: axes plus one polyline per branch segment."""
+def branches_svg(branches) -> str:
+    """Minimal 640 x 480 inspection plot: axes plus one polyline per branch segment."""
     finite = [np.isfinite(br.rho1) & np.isfinite(br.rho2) for br in branches]
     xs = [x for br, ok in zip(branches, finite) for x in br.rho2[ok].tolist()]
     ys = [y for br, ok in zip(branches, finite) for y in br.rho1[ok].tolist()]
@@ -199,7 +199,7 @@ def branches_svg(branches, width: int = 640, height: int = 480) -> str:
     y0, y1 = min(ys), max(ys)
     xspan = (x1 - x0) or 1.0
     yspan = (y1 - y0) or 1.0
-    m = 40  # margin
+    width, height, m = 640, 480, 40  # m: margin
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',

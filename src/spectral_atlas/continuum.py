@@ -13,50 +13,41 @@ eliminating the cell variables leaves the scalar eigencondition
 0 = 1 + rho1 P(omega, x1) + rho2 P(omega, x2).  Because both consistency
 functionals integrate against the same constant density, the bilinear term
 of the general decomposition vanishes identically here.
+
+Only the number of cells N is set: L = 1, x1 = 1/3 and x2 = 1/2 are fixed,
+and beta follows the networks' alpha and slow rate (presets).  One rule,
+_resolved's, decides which omega samples resolve the envelope, both for the
+curve and for the brackets of its asymptotes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .curves import CurveBranch, _refine, _sign_changes, grid_branch
 from .integrator import beta_for
+from . import presets as _presets
 
 
 @dataclass(frozen=True)
 class ContinuumSpec:
-    N: int = 12
-    L: float = 1.0
-    x1: float = 1.0 / 3.0
-    x2: float = 0.5
-    alpha: float = 200.0
-    lambda1_target: float = 5.0
+    """N coupling cells on (0, L), fed back to at x1 and x2; only N is set."""
 
-    def __post_init__(self):
-        if not 0.0 < self.x1 < self.x2 < self.L:
-            raise ValueError("need 0 < x1 < x2 < L")
+    N: int = 12
+    L: ClassVar[float] = 1.0
+    x1: ClassVar[float] = 1.0 / 3.0
+    x2: ClassVar[float] = 0.5
 
     @property
     def beta(self) -> float:
-        return beta_for(self.N, self.alpha, self.lambda1_target)
+        return beta_for(self.N, _presets.AG_ALPHA, _presets.AG_LAMBDA1)
 
     @property
     def dx(self) -> float:
         return self.L / self.N
-
-
-@dataclass(frozen=True)
-class BranchParam:
-    omega: float
-    branch: str  # 'trig' | 'hyper'
-
-    def __post_init__(self):
-        if self.branch not in ("trig", "hyper"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +126,18 @@ def _envelope(spec: ContinuumSpec, branch: str, om):
     return r1, r2, lamN, np.maximum(np.abs(n1 * d2), np.abs(d1 * n2))
 
 
-def envelope_rho(spec: ContinuumSpec, bp: BranchParam):
-    """(rho1, rho2) where lambda(omega) is a double eigenvalue (see _envelope)."""
-    r1, r2, lamN, _ = _envelope(spec, bp.branch, bp.omega)
-    if lamN == 0.0:
-        raise ZeroDivisionError("envelope asymptote: N1 ^ N2 vanishes")
-    return float(r1), float(r2)
+def _resolved(spec: ContinuumSpec, branch: str, om):
+    """_envelope's rho1, rho2 and N1 ^ N2, and the samples that resolve them.
+
+    A sample is dropped where N1 ^ N2 is within 1e-9 of its terms (only
+    rounding is left of it there), and where rho or N1 ^ N2 is not finite
+    (sinh and cosh overflow from omega ~ 712).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2, lamN, scale = _envelope(spec, branch, om)
+    kept = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(lamN)
+    kept &= ~(np.abs(lamN) <= 1e-9 * np.maximum(scale, 1e-300))
+    return r1, r2, lamN, kept
 
 
 # envelope_asymptotes brackets sign changes of N1 ^ N2 on this many samples
@@ -156,13 +153,17 @@ def envelope_asymptotes(
     size test off, since rho diverges at each zero.  Where N1 and N2 both
     vanish to second order (at 12 pi for the default coupling points)
     N1 ^ N2 has a zero of order five, whose sign rounding decides within
-    about 1e-4 of it; the result lies in that band.  ValueError unless lo < hi.
+    about 1e-4 of it; the result lies in that band.  Sign changes are taken
+    between consecutive samples that _resolved keeps, so the rounding noise
+    of N1 ^ N2 (the whole hyperbolic branch past omega ~ 110) brackets
+    nothing.  ValueError unless lo < hi.
     """
     lo, hi = omega_window
     if not lo < hi:
         raise ValueError(f"omega window {omega_window!r} needs lo < hi")
     oms = np.linspace(lo, hi, ASYMPTOTE_SAMPLES)
-    vals = _envelope(spec, branch, oms)[2]
+    _, _, vals, kept = _resolved(spec, branch, oms)
+    oms, vals = oms[kept], vals[kept]
     i = np.flatnonzero(_sign_changes(vals[:-1], vals[1:]))
     size = np.zeros(i.size)
 
@@ -177,16 +178,11 @@ def continuum_envelope(
 ) -> CurveBranch:
     """Envelope curve swept over omega; asymptote intervals become gaps.
 
-    Samples where N1 ^ N2 vanishes to within 1e-9 of its terms are dropped,
-    and so are those where rho or N1 ^ N2 is not finite (sinh and cosh
-    overflow from omega ~ 712); a sign change of N1 ^ N2 between samples is
-    a break.
+    The samples _resolved drops are gaps too, and a sign change of N1 ^ N2
+    between samples is a break.
     """
     om = np.asarray(omega_samples, float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r1, r2, lamN, scale = _envelope(spec, branch, om)
-    finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(lamN)
-    kept = finite & ~(np.abs(lamN) <= 1e-9 * np.maximum(scale, 1e-300))
+    r1, r2, lamN, kept = _resolved(spec, branch, om)
     sign = np.sign(lamN)
     breaks = np.concatenate([[False], sign[1:] != sign[:-1]])
     return grid_branch(

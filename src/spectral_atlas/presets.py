@@ -1,4 +1,5 @@
-"""Built-in problems: example1 and the constants of integrator's two networks."""
+"""Built-in problems: example1 and the constants of integrator's two networks,
+whose alpha and slow rate also tune continuum's line."""
 
 from __future__ import annotations
 
@@ -36,7 +37,8 @@ EXAMPLE1_P = np.array([4.0 - 2.0 * SQRT2, 4.0 - SQRT2, 1.0])
 EXAMPLE1_Q = np.array([-1.0])
 
 # parameters shared by the two eight-dimensional line-attractor networks,
-# whose readout rows are integrator.READOUTS
+# whose readout rows are integrator.READOUTS; continuum.ContinuumSpec takes
+# alpha and the slow rate from here too
 AG_ALPHA = 200.0
 AG_LAMBDA1 = 5.0
 AG_N = 6

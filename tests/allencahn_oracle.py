@@ -25,18 +25,16 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from spectral_atlas.allencahn import (
-    CubicFront,
     DiscretizedOperator,
     IndeterminateIndexError,
     PoleProximityError,
     TurningPointError,
     _gauss_rule,
     _Q_coef,
-    a_of_k,
-    period_integrals,
+    period_jet,
     turning_points,
 )
-from spectral_atlas.kernel import Poly, derivative, horner, jacobi_sn_cn_dn
+from spectral_atlas.kernel import Poly, derivative, elliptic_K_E, horner, jacobi_sn_cn_dn
 
 from kernel_oracle import poly_roots
 
@@ -113,7 +111,7 @@ def lame_spectrum(k: float):
     """
     if not 0.0 < k < 1.0:
         raise ValueError("elliptic modulus must lie in (0,1)")
-    a = a_of_k(k)
+    a = float(np.sqrt(1.0 - k**2 + k**4))
     k2 = k * k
 
     def sn2_shift(shift):
@@ -150,8 +148,7 @@ def restricted_matrix(k: float):
     {0, lambda1(k)}: the zero comes from mass conservation along the family
     of stationary profiles.
     """
-    fr = CubicFront.from_k(k)
-    K, E, k2 = fr.K, fr.E, k * k
+    (K, E), k2 = elliptic_K_E(k), k * k
     M = np.array(
         [
             [6.0 * (K - E) / K, 3.0 * (1.0 + k2) * (K - E) / (k2 * K)],
@@ -170,7 +167,7 @@ def tau_richardson(F, E_const: float, kappa: float) -> float:
     """
 
     def vals(E, k):
-        return np.array(period_integrals(F, E, k))
+        return np.array(period_jet(F, E, k)[1])
 
     def partials(step):
         dE = (vals(E_const + step, kappa) - vals(E_const - step, kappa)) / (

@@ -7,9 +7,18 @@ matching solve.  Neither goes through the reduced forms with which
 continuum.continuum_envelope and the lemma check work.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from spectral_atlas.continuum import BranchParam, ContinuumSpec
+from spectral_atlas.continuum import ContinuumSpec
+
+
+class BranchParam(NamedTuple):
+    """A wavenumber omega on the 'trig' or the 'hyper' branch."""
+
+    omega: float
+    branch: str
 
 
 class ResonantFrequencyError(ValueError):

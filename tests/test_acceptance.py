@@ -19,17 +19,15 @@ from spectral_atlas.allencahn import (
     family_point,
     inner_H_inv_one,
     lambda1,
-    period_integrals,
+    period_jet,
     stability_index,
-    tau,
     trace_family,
 )
 from spectral_atlas.continuum import (
-    BranchParam,
     ContinuumSpec,
+    _envelope,
     continuum_envelope,
     envelope_asymptotes,
-    envelope_rho,
     quadrant_ratio,
 )
 from spectral_atlas.curves import (
@@ -291,7 +289,7 @@ def test_criterion_07_continuum_structure(criterion):
             max(abs(p.rho1 - 0.09), abs(p.rho2 + 0.09)) for p in br.points
         )
         assert miss < 0.02
-        r1_lim, r2_lim = envelope_rho(spec, BranchParam(0.01, "hyper"))
+        r1_lim, r2_lim = _envelope(spec, "hyper", 0.01)[:2]
         assert abs(r1_lim - 0.09) < 0.03 and abs(r2_lim + 0.09) < 0.03
 
         xs = np.linspace(0.05, 0.95, 20)
@@ -357,10 +355,10 @@ def test_criterion_10_family_quadratures(criterion):
         rng = np.random.default_rng(7)
         for k in (0.3, 0.5, 0.7):
             fr = CubicFront.from_k(k)
-            P, M, R = period_integrals(fr.F, 0.5, 0.0)
+            P, M, R = period_jet(fr.F, 0.5, 0.0)[1]
             assert abs(P - 2.0 * fr.K) < 1e-8
             assert abs(M) < 1e-8 and abs(R) < 1e-8
-            t = tau(fr.F, 0.5, 0.0)
+            t = family_point(fr.F, 0.5, 0.0).tau
             inner = inner_H_inv_one(cubic_operator(k, n=2000))
             assert np.sign(t) == np.sign(inner)
         for _ in range(6):
@@ -369,7 +367,7 @@ def test_criterion_10_family_quadratures(criterion):
 
             F = Poly([0.0, 0.0, c2 / 2, c3 / 3, c4 / 4])
             kappa = rng.uniform(-0.05, 0.05)
-            P, M, R = period_integrals(F, 1.0, kappa)
+            P, M, R = period_jet(F, 1.0, kappa)[1]
             assert abs(kappa * P - R) <= 1e-8 * max(1.0, abs(R))
         fr = CubicFront.from_k(0.5)
         start = family_point(fr.F, 0.5, 0.0)

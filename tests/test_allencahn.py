@@ -15,7 +15,6 @@ from spectral_atlas.allencahn import (
     CubicFront,
     IndeterminateIndexError,
     PoleProximityError,
-    a_of_k,
     build_H_discrete,
     cubic_operator,
     family_point,
@@ -23,10 +22,8 @@ from spectral_atlas.allencahn import (
     herglotz_h,
     inner_H_inv_one,
     lambda1,
-    period_integrals,
     period_jet,
     stability_index,
-    tau,
     trace_family,
     turning_points,
 )
@@ -159,7 +156,7 @@ class TestLameSpectrum:
         for k in (0.2, 0.5, 0.8):
             vals = [lam for lam, _, _ in lame_spectrum(k)]
             assert vals == sorted(vals, reverse=True)
-            assert vals[0] == -(1 + k**2 - 2 * a_of_k(k))
+            assert vals[0] == -(1 + k**2 - 2 * np.sqrt(1 - k**2 + k**4))
             assert vals[0] > 0  # one positive eigenvalue
             assert vals[1] == 0.0
 
@@ -286,7 +283,7 @@ class TestDiscretization:
         assert allencahn.MAX_CELLS >= 250 * 4000  # far above README's n
 
     def test_arrays_are_read_only(self, op_half):
-        for name in ("x", "fp", "diag", "off"):
+        for name in ("fp", "diag", "off"):
             with pytest.raises(ValueError):
                 getattr(op_half, name)[0] = 0.0
 
@@ -318,7 +315,7 @@ class TestDiscretization:
         diag, off = np.array(diag), np.array(off[: n - 1])
         zeros = np.zeros(n)
         op = allencahn.DiscretizedOperator(
-            n=n, h=1.0, L=1.0, x=zeros, fp=zeros, diag=diag, off=off
+            n=n, h=1.0, L=1.0, fp=zeros, diag=diag, off=off
         )
         check_count_oracle(op)
 
@@ -600,7 +597,7 @@ class TestCountsOnly:
         diag, off = np.array(diag), np.array(off[: n - 1])
         zeros = np.zeros(n)
         op = allencahn.DiscretizedOperator(
-            n=n, h=1.0, L=1.0, x=zeros, fp=zeros, diag=diag, off=off
+            n=n, h=1.0, L=1.0, fp=zeros, diag=diag, off=off
         )
         ev = scipy.linalg.eigvalsh_tridiagonal(diag, off) if n > 1 else diag
         # up to the eigensolver's backward error, a few eps ||H|| per row
@@ -789,7 +786,7 @@ class TestPeriodIntegrals:
     def test_cubic_period_is_2K(self):
         for k in (0.3, 0.5, 0.7):
             fr = CubicFront.from_k(k)
-            P, M, R = period_integrals(fr.F, 0.5, 0.0)
+            P, M, R = period_jet(fr.F, 0.5, 0.0)[1]
             assert abs(P - 2 * fr.K) < 1e-8
             assert abs(M) < 1e-10 and abs(R) < 1e-10
 
@@ -798,7 +795,7 @@ class TestPeriodIntegrals:
         # W is the exact quotient of Q by its turning-point factors, so no
         # 0/0 at the nodes next to the ends
         fr = CubicFront.from_k(k)
-        P = period_integrals(fr.F, 0.5, 0.0)[0]
+        P = period_jet(fr.F, 0.5, 0.0)[1][0]
         assert abs(P - 2 * fr.K) <= 1e-14 * 2 * fr.K
 
     def test_kappa_P_equals_R(self):
@@ -809,7 +806,7 @@ class TestPeriodIntegrals:
 
             F = Poly([0.0, 0.0, c2 / 2, c3 / 3, c4 / 4])
             kap = rng.uniform(-0.05, 0.05)
-            P, M, R = period_integrals(F, 0.3, kap)
+            P, M, R = period_jet(F, 0.3, kap)[1]
             assert abs(kap * P - R) <= 1e-8 * abs(R) + 1e-12
 
     def test_rule_cached_read_only(self):
@@ -833,7 +830,7 @@ class TestPeriodIntegrals:
         ref, err = scipy.integrate.quad(
             integrand, mu_m, mu_p, points=[mu_m, mu_p], limit=200
         )
-        P, _, _ = period_integrals(fr.F, E, kap)
+        P, _, _ = period_jet(fr.F, E, kap)[1]
         assert abs(P - ref) < 1e-7
 
 
@@ -874,7 +871,7 @@ class TestPeriodJet:
 
         # central differences of the values, with one Richardson step
         def vals(E_, k_):
-            return np.array(period_integrals(F, E_, k_))
+            return np.array(period_jet(F, E_, k_)[1])
 
         def partials(step):
             return np.column_stack(
@@ -887,7 +884,7 @@ class TestPeriodJet:
         h = 1e-5 * max(1.0, abs(E), abs(kappa))
         ref = (4.0 * partials(h / 2.0) - partials(h)) / 3.0
         _, values, J = period_jet(F, E, kappa)
-        assert values == period_integrals(F, E, kappa)
+        assert values == period_jet(F, E, kappa)[1]
         assert J.shape == (3, 2)
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(J - ref) <= 1e-8 * scale)
@@ -905,7 +902,7 @@ class TestPeriodJet:
     def test_tau_against_richardson(self, case):
         F, E, kappa = jet_case(*case)
         ref = tau_richardson(F, E, kappa)
-        assert abs(tau(F, E, kappa) - ref) <= 1e-8 * abs(ref)
+        assert abs(family_point(F, E, kappa).tau - ref) <= 1e-8 * abs(ref)
 
     def test_turning_points_and_values_of_the_point(self):
         fr = CubicFront.from_k(0.6)
@@ -983,7 +980,7 @@ class TestTauAndFamily:
     def test_tau_sign_matches_inner(self):
         for k in (0.3, 0.5, 0.7):
             fr = CubicFront.from_k(k)
-            t = tau(fr.F, 0.5, 0.0)
+            t = family_point(fr.F, 0.5, 0.0).tau
             inner = inner_H_inv_one(cubic_operator(k, n=2000))
             assert np.sign(t) == np.sign(inner)
             # the Corollary's identity <1, H^{-1} 1> = 2 L tau
@@ -991,11 +988,11 @@ class TestTauAndFamily:
 
     def test_tau_invariant_under_scaling(self):
         fr = CubicFront.from_k(0.5)
-        t = tau(fr.F, 0.5, 0.0)
+        t = family_point(fr.F, 0.5, 0.0).tau
         # speeding up the reaction c-fold leaves the profiles (and M)
         # unchanged while R gains the factor c, so tau = dM/dR drops c-fold
         c = 2.7
-        ts = tau(Poly(c * fr.F.coef), c * 0.5, 0.0)
+        ts = family_point(Poly(c * fr.F.coef), c * 0.5, 0.0).tau
         assert abs(t / c - ts) < 1e-6 * max(1.0, abs(ts))
 
     def test_family_keeps_period(self):
@@ -1047,7 +1044,7 @@ class TestTauAndFamily:
         pts = trace_family(fr.F, start, steps=2, ds=0.01)
         ref = [
             [p.s, p.E_const, p.kappa, p.mu_minus, p.mu_plus, p.P, p.M, p.R,
-             tau(fr.F, p.E_const, p.kappa)]
+             family_point(fr.F, p.E_const, p.kappa).tau]
             for p in pts
         ]
         assert rows.tolist() == ref

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from spectral_atlas.continuum import (
-    BranchParam,
     ContinuumSpec,
+    _envelope,
     bigF,
     continuum_envelope,
     envelope_asymptotes,
-    envelope_rho,
     lemma_f_domega,
     quadrant_ratio,
 )
 from spectral_atlas.curves import branches_to_csv
 
 from continuum_oracle import (
+    BranchParam,
     ResonantFrequencyError,
     branch_lambda,
     cell_response,
@@ -78,13 +78,16 @@ class TestSpecs:
         s = ContinuumSpec(N=100000)
         assert np.isclose(-1 + 3 * s.beta, -1 / 40, atol=1e-7)
 
-    def test_validation(self):
+    def test_validation(self, spec):
         with pytest.raises(ValueError):
-            ContinuumSpec(x1=0.5, x2=1.0 / 3.0)
+            continuum_envelope(spec, [1.0], "quartic")
         with pytest.raises(ValueError):
-            BranchParam(1.0, "quartic")
-        with pytest.raises(ValueError):
-            BranchParam(-1.0, "trig")
+            continuum_envelope(spec, [-1.0], "trig")
+
+    def test_only_N_is_set(self):
+        assert ContinuumSpec(N=24).x1 == 1.0 / 3.0
+        with pytest.raises(TypeError):
+            ContinuumSpec(x1=0.5)
 
 
 class TestBranchLambda:
@@ -183,7 +186,7 @@ class TestAgainstDiscretization:
     def test_envelope_point_is_double_eigenvalue(self, spec):
         for branch, om in (("trig", 7.0), ("hyper", 3.0)):
             bp = BranchParam(om, branch)
-            r1, r2 = envelope_rho(spec, bp)
+            r1, r2 = _envelope(spec, branch, om)[:2]
             lam = branch_lambda(bp, spec)
             near = np.sort(np.abs(fd_eigs_near(spec, r1, r2, lam) - lam))
             assert near[0] < 1e-3 and near[1] < 1e-3
@@ -194,7 +197,7 @@ class TestEnvelope:
         # eigencondition and its omega derivative both vanish on the envelope
         for branch, om in (("trig", 7.0), ("hyper", 3.0)):
             bp = BranchParam(om, branch)
-            r1, r2 = envelope_rho(spec, bp)
+            r1, r2 = _envelope(spec, branch, om)[:2]
             assert abs(eigencondition_closed(spec, bp, r1, r2)) < 1e-10
             h = 1e-6
             d = (
@@ -232,6 +235,11 @@ class TestEnvelope:
         assert br.gaps == [(grid[i - 1], grid[i])]
         assert [p.parameter for p in br.points] == grid.tolist()
 
+    def test_no_asymptote_from_rounding_noise(self, spec):
+        # past omega ~ 110 on the hyperbolic branch N1 ^ N2 is rounding noise
+        # within 1e-9 of its terms, whose sign changes are no asymptotes
+        assert envelope_asymptotes(spec, (0.05, 700.0), "hyper") == []
+
     def test_reversed_window_raises(self, spec):
         with pytest.raises(ValueError, match=r"\(14.0, 1.0\)"):
             envelope_asymptotes(spec, (14.0, 1.0), "trig")
@@ -248,11 +256,11 @@ class TestEnvelope:
         # the low-omega end of the hyperbolic branch sits near
         # (rho2, rho1) = (-0.09, 0.09) and then grows into the quadrant
         oms = np.linspace(0.05, 4.0, 200)
-        rs = np.array([envelope_rho(spec, BranchParam(o, "hyper")) for o in oms])
+        rs = np.array([_envelope(spec, "hyper", o)[:2] for o in oms])
         dist = np.max(np.abs(rs - np.array([0.09, -0.09])), axis=1)
         assert np.min(dist) < 0.02
         # the omega -> 0 limit point itself
-        r1, r2 = envelope_rho(spec, BranchParam(0.01, "hyper"))
+        r1, r2 = _envelope(spec, "hyper", 0.01)[:2]
         assert abs(r1 - 0.09) < 0.03 and abs(r2 + 0.09) < 0.03
 
     def test_structure_stable_over_N(self):
@@ -285,7 +293,7 @@ class TestReducedForms:
 
     def test_trig_at_removable_singularity(self, spec):
         # omega L = 4 pi + 2.2e-6: the direct forms divide 0 by 0 here
-        _, r2 = envelope_rho(spec, BranchParam(12.566372787762104, "trig"))
+        r2 = _envelope(spec, "trig", 12.566372787762104)[1]
         ref = -1011.5089250146199438
         assert abs(r2 - ref) <= 1e-9 * abs(ref)
 
@@ -298,7 +306,7 @@ class TestReducedForms:
     )
     def test_hyper_at_small_omega(self, spec, om, ref):
         # the direct sinh numerator cancels to O(omega^3) from O(omega) terms
-        got = envelope_rho(spec, BranchParam(om, "hyper"))
+        got = _envelope(spec, "hyper", om)[:2]
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-8
 
     def test_asymptotes_at_multiples_of_pi(self, spec):
@@ -344,7 +352,7 @@ class TestQuadrantLemma:
     def test_sign_ratio_matches_envelope_ratio(self, spec):
         for om in (0.5, 2.0, 6.0):
             sr = quadrant_ratio(spec, om, spec.x1, spec.x2)
-            r1, r2 = envelope_rho(spec, BranchParam(om, "hyper"))
+            r1, r2 = _envelope(spec, "hyper", om)[:2]
             assert np.isclose(sr, r1 / r2, rtol=1e-9)
 
     @pytest.mark.parametrize("N", [12, 24, 50])
